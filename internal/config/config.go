@@ -294,6 +294,8 @@ func (s System) Validate() error {
 		return fmt.Errorf("GPU/shared memory misconfigured: %+v", s.GPUMem)
 	case s.VM.PageBytes < s.LineBytes:
 		return fmt.Errorf("page size %d smaller than line size %d", s.VM.PageBytes, s.LineBytes)
+	case s.VM.PageBytes&(s.VM.PageBytes-1) != 0:
+		return fmt.Errorf("page size %d must be a power of two", s.VM.PageBytes)
 	}
 	if s.Kind == Discrete {
 		if s.CPUMem.Channels <= 0 || s.CPUMem.BytesPerSec <= 0 {

@@ -63,6 +63,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(s *System) { s.GPU.WarpSize = 0 },
 		func(s *System) { s.GPUMem.Channels = 0 },
 		func(s *System) { s.VM.PageBytes = 64 },
+		func(s *System) { s.VM.PageBytes = 6000 },
 		func(s *System) { s.CPUMem.BytesPerSec = 0 },
 		func(s *System) { s.PCIe.BytesPerSec = 0 },
 	}

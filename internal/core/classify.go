@@ -55,10 +55,11 @@ func (c Class) String() string {
 	}
 }
 
+// lineHist is one line's access history, packed into 8 bytes.
 type lineHist struct {
+	lastStage int32
 	seen      bool
 	lastWrite bool
-	lastStage int32
 	// pendingWrite marks that the line's most recent access was a write we
 	// provisionally classified Compulsory ("last write"); the next access
 	// to the line retroactively resolves it into the pair class.
@@ -73,24 +74,19 @@ type lineHist struct {
 // the W-R pair class implied by the reuse distance. Reads are classified
 // directly from (previous access type, stage distance).
 type Classifier struct {
-	m      map[memory.Addr]*lineHist
+	lines  memory.Table[lineHist] // indexed by line number
 	counts [NumClasses]uint64
 	total  uint64
 }
 
 // NewClassifier returns an empty classifier.
-func NewClassifier() *Classifier {
-	return &Classifier{m: map[memory.Addr]*lineHist{}}
-}
+func NewClassifier() *Classifier { return &Classifier{} }
 
-// Observe records one off-chip access to the given line during stage.
-func (cl *Classifier) Observe(line memory.Addr, write bool, stage int) {
+// Observe records one off-chip access to the given line number (address
+// divided by the line size) during stage.
+func (cl *Classifier) Observe(line uint64, write bool, stage int) {
 	cl.total++
-	h := cl.m[line]
-	if h == nil {
-		h = &lineHist{}
-		cl.m[line] = h
-	}
+	h := cl.lines.At(line)
 
 	if h.seen && h.pendingWrite {
 		// Resolve the earlier write now that we know it was not the last.

@@ -70,17 +70,15 @@ type Collector struct {
 	Phases []PhaseSnapshot
 	hwPrev map[string]uint64
 
-	foot map[memory.Addr]stats.ComponentSet
-	// footMemo is a direct-mapped filter in front of the footprint map:
-	// benchmarks touch the same hot lines millions of times, and the memo
-	// short-circuits repeats without a map operation.
-	footMemo   [footMemoSize]footMemoEntry
+	foot       *Footprint
 	cls        *Classifier
 	dramByComp [stats.NumComponents]uint64
 	flops      [stats.NumComponents]uint64
 
-	stageBytes map[int]uint64 // off-chip bytes per stage, for BW-limit marking
-	peakBW     float64        // compute-memory peak bytes/sec
+	// stageBytes is off-chip bytes per stage ID (index 0: before the first
+	// stage), for BW-limit marking.
+	stageBytes []uint64
+	peakBW     float64 // compute-memory peak bytes/sec
 
 	roiStart, roiEnd sim.Tick
 	roiOpen          bool
@@ -94,9 +92,9 @@ func NewCollector(lineBytes int, peakBW float64) *Collector {
 		TL:         stats.NewTimeline(),
 		Ctr:        stats.NewCounters(),
 		LineBytes:  lineBytes,
-		foot:       map[memory.Addr]stats.ComponentSet{},
+		foot:       NewFootprint(lineBytes),
 		cls:        NewClassifier(),
-		stageBytes: map[int]uint64{},
+		stageBytes: make([]uint64, 1),
 		peakBW:     peakBW,
 	}
 }
@@ -171,6 +169,7 @@ func (c *Collector) StageBegin(kind StageKind, name string, comp stats.Component
 		Start:       start,
 	}
 	c.Stages = append(c.Stages, s)
+	c.stageBytes = append(c.stageBytes, 0)
 	c.SC.S = s.ID
 	c.snapshotPhase("begin", s, start)
 	return s
@@ -197,56 +196,16 @@ func (c *Collector) AddActivityNamed(comp stats.Component, name string, start, e
 	c.addBusy(comp, "activity", name, start, end)
 }
 
-const footMemoSize = 1024
-
-type footMemoEntry struct {
-	line memory.Addr
-	set  stats.ComponentSet
-	ok   bool
-}
-
-// Touch records that comp accessed [addr, addr+size), at line granularity,
-// for the Figure 4 footprint partition.
-func (c *Collector) Touch(comp stats.Component, addr memory.Addr, size int) {
-	n := memory.LinesSpanned(addr, size, c.LineBytes)
-	base := memory.LineAddr(addr, c.LineBytes)
-	for i := 0; i < n; i++ {
-		l := base + memory.Addr(i*c.LineBytes)
-		slot := &c.footMemo[(l/memory.Addr(c.LineBytes))%footMemoSize]
-		if slot.ok && slot.line == l && slot.set.Has(comp) {
-			continue
-		}
-		set := c.foot[l].Set(comp)
-		c.foot[l] = set
-		*slot = footMemoEntry{line: l, set: set, ok: true}
-	}
-}
-
 // OnDRAM is installed as the DRAM access hook: it feeds the classifier,
 // per-component access counts, and per-stage bandwidth accounting.
 func (c *Collector) OnDRAM(now sim.Tick, req memory.Request) {
-	line := memory.LineAddr(req.Addr, c.LineBytes)
-	c.cls.Observe(line, req.Write, c.SC.S)
+	c.cls.Observe(uint64(req.Addr)>>c.foot.shift, req.Write, c.SC.S)
 	c.dramByComp[req.Comp]++
 	c.stageBytes[c.SC.S] += uint64(c.LineBytes)
 }
 
 // Classifier exposes the Section V-C classifier.
 func (c *Collector) Classifier() *Classifier { return c.cls }
-
-// FootprintBytes reports the total touched footprint.
-func (c *Collector) FootprintBytes() uint64 {
-	return uint64(len(c.foot)) * uint64(c.LineBytes)
-}
-
-// FootprintPartition reports touched bytes per exclusive component subset.
-func (c *Collector) FootprintPartition() map[stats.ComponentSet]uint64 {
-	out := map[stats.ComponentSet]uint64{}
-	for _, set := range c.foot {
-		out[set] += uint64(c.LineBytes)
-	}
-	return out
-}
 
 // DRAMAccesses reports off-chip accesses by requesting component.
 func (c *Collector) DRAMAccesses() [stats.NumComponents]uint64 { return c.dramByComp }

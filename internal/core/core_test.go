@@ -12,7 +12,7 @@ import (
 func TestClassifierCompulsoryFirstTouch(t *testing.T) {
 	cl := NewClassifier()
 	cl.Observe(0, false, 1)
-	cl.Observe(128, false, 1)
+	cl.Observe(1, false, 1)
 	counts := cl.Counts()
 	if counts[ClassCompulsory] != 2 || cl.Total() != 2 {
 		t.Fatalf("counts = %v", counts)
@@ -95,7 +95,7 @@ func TestClassifierConservationProperty(t *testing.T) {
 			if op%7 == 0 {
 				stage++
 			}
-			cl.Observe(memory.Addr(op%16)*128, op%3 == 0, stage)
+			cl.Observe(uint64(op%16), op%3 == 0, stage)
 		}
 		var sum uint64
 		for _, v := range cl.Counts() {

@@ -194,7 +194,7 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 		CTAs:         k.Grid,
 		ThreadsPerTA: k.Block,
 		ScratchBytes: k.ScratchBytes,
-		Gen:          func(cta int) []isa.Trace { return gen(cta, &Thread{s: s}) },
+		Gen:          func(cta int) []isa.Trace { return gen(cta, &Thread{s: s, foot: s.Col.Footprint()}) },
 		Done: func(end sim.Tick, flops uint64) {
 			s.flushGPUL1s(end)
 			s.Col.StageEnd(st, end, flops, 0)
@@ -228,26 +228,8 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 		// Off-thread generation. The generation worker's buffer reads and
 		// writes are ordered against the timing thread by the pipeline's
 		// result hand-off; footprint touches can't go to the collector from
-		// off-thread, so they go to a shard (par=2) or are skipped and
-		// replayed from the traces by a pre worker (par>=3) — the trace op
-		// stream carries exactly the touched ranges.
-		if s.par.PreWorkers() > 0 {
-			kern.GenPar = func(cta int) []isa.Trace { return gen(cta, &Thread{s: s, quiet: true}) }
-			kern.PreTouch = func(worker int, traces []isa.Trace) {
-				sh := s.genShards[worker]
-				for _, tr := range traces {
-					for _, op := range tr {
-						switch op.Kind {
-						case isa.OpLoad, isa.OpLoadDep, isa.OpStore, isa.OpAtomic:
-							sh.Touch(stats.GPU, op.Addr, int(op.N))
-						}
-					}
-				}
-			}
-		} else {
-			shard := s.genShards[0]
-			kern.GenPar = func(cta int) []isa.Trace { return gen(cta, &Thread{s: s, shard: shard}) }
-		}
+		// off-thread, so they go to the generation worker's shard.
+		kern.GenPar = func(cta int) []isa.Trace { return gen(cta, &Thread{s: s, foot: s.genShard}) }
 	}
 	s.gpu.Launch(start, kern)
 }

@@ -55,7 +55,7 @@ func (s *System) LaunchPersistent(spec PersistentKernelSpec, deps ...*Handle) *P
 		ScratchBytes: spec.ScratchBytes,
 		Gen: func(cta int) []isa.Trace {
 			out := make([]isa.Trace, spec.Block)
-			t := &Thread{s: s, cta: cta, block: spec.Block}
+			t := &Thread{s: s, foot: s.Col.Footprint(), cta: cta, block: spec.Block}
 			for i := 0; i < spec.Block; i++ {
 				t.lane = i
 				t.global = cta*spec.Block + i

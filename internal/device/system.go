@@ -64,11 +64,11 @@ type System struct {
 
 	// Intra-run parallel engine state. parReq is the requested worker count
 	// (WithParallel); par is nil for serial runs (including parallel
-	// requests that fell back); genShards are the per-worker footprint
-	// accumulators merged into Col at Report time.
-	parReq    int
-	par       *sim.ParEngine
-	genShards []*core.FootprintShard
+	// requests that fell back); genShard is the generation worker's private
+	// footprint, merged into Col at Report time.
+	parReq   int
+	par      *sim.ParEngine
+	genShard *core.Footprint
 
 	// Result holds functional output digests the benchmark publishes with
 	// AddResult. Correctness tests compare digests across run modes (every
@@ -277,13 +277,7 @@ func NewSystemErr(cfg config.System, opts ...Option) (*System, error) {
 			}
 			s.par = sim.NewParEngine(s.parReq, window, la)
 			s.gpu.UsePar(s.par)
-			n := s.par.PreWorkers()
-			if n < 1 {
-				n = 1
-			}
-			for i := 0; i < n; i++ {
-				s.genShards = append(s.genShards, core.NewFootprintShard(line))
-			}
+			s.genShard = core.NewFootprint(line)
 		}
 	}
 
@@ -348,16 +342,13 @@ func (s *System) Release() {
 }
 
 // Report builds the analysis report for the finished run. For parallel
-// runs it first quiesces the workers and merges their footprint shards
-// into the collector — a commutative per-line set union, so the merged
-// footprint is identical for every worker count.
+// runs it first quiesces the workers and merges the generation worker's
+// footprint shard into the collector — a commutative, idempotent per-line
+// set union, so the merged footprint is identical for every worker count.
 func (s *System) Report(bench, mode string) *core.Report {
 	if s.par != nil {
 		s.par.Release()
-		for _, sh := range s.genShards {
-			s.Col.MergeFootprint(sh)
-		}
-		s.genShards = nil
+		s.Col.MergeFootprint(s.genShard)
 	}
 	return core.BuildReport(s.Col, bench, s.Cfg.Kind.String(), mode,
 		s.Cfg.CPU.PeakFLOPs(), s.Cfg.GPU.PeakFLOPs())

@@ -12,18 +12,19 @@ import (
 // performing the functional data access directly on the buffer slice.
 type Rec interface {
 	rec(op isa.Op)
-	// touch records [addr, addr+size) in the run's footprint. GPU threads
-	// running off the timing thread route this to a private shard (or skip
-	// it entirely when a pre worker will replay it from the trace); the
-	// trace already carries the same addresses, so footprint routing never
-	// changes what the timing model sees.
+	// touch records [addr, addr+size) in the run's footprint (for GPU
+	// threads, Thread.foot). Footprint routing never changes what the
+	// timing model sees: the trace carries the same addresses either way.
 	touch(addr memory.Addr, size int)
 	sys() *System
 }
 
 // Thread is one GPU thread's execution context, passed to kernel functions.
 type Thread struct {
-	s      *System
+	s *System
+	// foot receives the thread's footprint touches: the collector's
+	// footprint on the timing thread, the generation worker's shard off it.
+	foot   *core.Footprint
 	tr     isa.Trace
 	cta    int
 	lane   int // thread index within the CTA
@@ -31,12 +32,6 @@ type Thread struct {
 	global int
 	// children collects device-side launches (dynamic parallelism).
 	children *[]KernelSpec
-
-	// shard, when non-nil, receives footprint touches instead of the
-	// collector — the off-thread generation path. quiet skips touches
-	// entirely: a pre worker will replay them from the recorded trace.
-	shard *core.FootprintShard
-	quiet bool
 }
 
 // LaunchChild enqueues a child kernel from device code — CUDA 5.0 dynamic
@@ -90,13 +85,7 @@ func (t *Thread) rec(op isa.Op) { t.tr = append(t.tr, op) }
 func (t *Thread) sys() *System  { return t.s }
 
 func (t *Thread) touch(addr memory.Addr, size int) {
-	switch {
-	case t.quiet:
-	case t.shard != nil:
-		t.shard.Touch(stats.GPU, addr, size)
-	default:
-		t.s.Col.Touch(stats.GPU, addr, size)
-	}
+	t.foot.Touch(stats.GPU, addr, size)
 }
 
 // CPUThread is one CPU software thread's execution context.

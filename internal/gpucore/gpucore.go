@@ -38,9 +38,6 @@ type Kernel struct {
 	// thread. It must be safe to run off-thread (it may not touch the
 	// engine or collector) and must produce exactly what Gen would.
 	GenPar func(cta int) []isa.Trace
-	// PreTouch, when set, replays a generated CTA's footprint touches into
-	// the run's per-worker footprint shard on a pre-processing worker.
-	PreTouch func(worker int, traces []isa.Trace)
 	// Done fires when the last CTA completes. flops is the total FLOPs the
 	// kernel executed.
 	Done func(end sim.Tick, flops uint64)
@@ -106,11 +103,11 @@ type GPU struct {
 	warpsz int
 
 	// Par, when non-nil, pipelines CTA trace generation (and, with pre
-	// workers, footprint replay + coalescing plans) ahead of the timing
-	// clock. parOK drops to false — permanently, for the rest of the run —
-	// at the first persistent-kernel launch, whose batch-by-batch dispatch
-	// order is timing-dependent and would break the generation-order
-	// guarantee for kernels launched after it.
+	// workers, coalescing plans) ahead of the timing clock. parOK drops to
+	// false — permanently, for the rest of the run — at the first
+	// persistent-kernel launch, whose batch-by-batch dispatch order is
+	// timing-dependent and would break the generation-order guarantee for
+	// kernels launched after it.
 	Par   *sim.ParEngine
 	parOK bool
 
@@ -218,9 +215,8 @@ func (g *GPU) Launch(at sim.Tick, k *Kernel) {
 // generation order equals the order serial dispatch would have called Gen
 // in (dispatch drains the queue head first: all of an earlier kernel's
 // CTAs, in increasing index order, generate before a later kernel's
-// first). With pre workers, each generated CTA is then pre-processed —
-// footprint replay into a worker shard plus a coalescing plan — before the
-// timing thread consumes it in startCTA.
+// first). With pre workers, each generated CTA then gets its coalescing
+// plan built off-thread before the timing thread consumes it in startCTA.
 func (g *GPU) pipeline(k *Kernel) {
 	gen := k.GenPar
 	if gen == nil {
@@ -231,13 +227,9 @@ func (g *GPU) pipeline(k *Kernel) {
 		k.stream = g.Par.Pipeline(k.CTAs, genFn, nil)
 		return
 	}
-	touch := k.PreTouch
 	warpsz, lineBytes := g.warpsz, g.LineBytes
-	k.stream = g.Par.Pipeline(k.CTAs, genFn, func(worker, i int, v any) any {
+	k.stream = g.Par.Pipeline(k.CTAs, genFn, func(_, _ int, v any) any {
 		traces := v.([]isa.Trace)
-		if touch != nil {
-			touch(worker, traces)
-		}
 		return &ctaOut{traces: traces, plan: buildCTAPlan(traces, warpsz, lineBytes)}
 	})
 }

@@ -52,7 +52,7 @@ func TestRunCanceledMidRun(t *testing.T) {
 			s.EndROI()
 		}},
 		Mode: bench.ModeCopy, Size: bench.SizeMedium, // medium: a retry size exists
-		Ctx:  ctx,
+		Ctx: ctx,
 	})
 	if out.Err == nil || out.Err.Kind != KindCanceled {
 		t.Fatalf("outcome = %+v, want KindCanceled", out.Err)
@@ -130,8 +130,8 @@ func TestRunWallDurations(t *testing.T) {
 	// A budget failure that retries: two attempts, each with its own wall
 	// duration, summing (with the rest of the loop) into Outcome.Wall.
 	out = Run(Spec{
-		Bench:  fakeBench{name: "slow", run: okRun(100000)},
-		Mode:   bench.ModeLimitedCopy, Size: bench.SizeMedium,
+		Bench: fakeBench{name: "slow", run: okRun(100000)},
+		Mode:  bench.ModeLimitedCopy, Size: bench.SizeMedium,
 		Budget: Budget{MaxEvents: 1000},
 	})
 	if out.Err == nil || out.Attempts != 2 {
@@ -208,8 +208,8 @@ func TestOutcomeRecordRoundTrip(t *testing.T) {
 	})
 	t.Run("failure", func(t *testing.T) {
 		out := Run(Spec{
-			Bench:  fakeBench{name: "slow", run: okRun(100000)},
-			Mode:   bench.ModeCopy, Size: bench.SizeMedium,
+			Bench: fakeBench{name: "slow", run: okRun(100000)},
+			Mode:  bench.ModeCopy, Size: bench.SizeMedium,
 			Budget: Budget{MaxEvents: 1000},
 		})
 		if out.Err == nil {

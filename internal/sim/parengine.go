@@ -53,8 +53,8 @@ const (
 	DomainVM
 	// DomainGen is off-thread functional trace generation.
 	DomainGen
-	// DomainPre is off-thread trace pre-processing (footprint replay,
-	// address coalescing).
+	// DomainPre is off-thread trace pre-processing (address-coalescing
+	// plans).
 	DomainPre
 
 	// NumDomains sizes per-domain accounting arrays.

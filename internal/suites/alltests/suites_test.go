@@ -82,13 +82,23 @@ func TestAllBenchmarksBothBaselineModes(t *testing.T) {
 				t.Errorf("limited-copy footprint %d > copy footprint %d",
 					repLim.FootprintBytes, repCopy.FootprintBytes)
 			}
-			// Classified accesses conserve.
-			var cls uint64
-			for _, v := range repCopy.ClassCounts {
-				cls += v
-			}
-			if cls != repCopy.TotalDRAM() {
-				t.Errorf("classified %d != total DRAM %d", cls, repCopy.TotalDRAM())
+			// Accounting identities, in both modes: classified accesses
+			// conserve, and the footprint partition sums to the footprint.
+			for _, r := range []*core.Report{repCopy, repLim} {
+				var cls uint64
+				for _, v := range r.ClassCounts {
+					cls += v
+				}
+				if cls != r.TotalDRAM() {
+					t.Errorf("%s: classified %d != total DRAM %d", r.Mode, cls, r.TotalDRAM())
+				}
+				var foot uint64
+				for _, v := range r.Footprint {
+					foot += v
+				}
+				if foot != r.FootprintBytes {
+					t.Errorf("%s: footprint partition sums to %d, footprint is %d", r.Mode, foot, r.FootprintBytes)
+				}
 			}
 			t.Logf("copy: ROI=%.3fms gpu=%.0f%% | limited: ROI=%.3fms gpu=%.0f%% | foot %0.1f->%0.1f MB",
 				repCopy.ROI.Millis(), 100*repCopy.GPUUtil, repLim.ROI.Millis(), 100*repLim.GPUUtil,

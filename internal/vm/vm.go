@@ -10,6 +10,8 @@
 package vm
 
 import (
+	"math/bits"
+
 	"repro/internal/memory"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -19,7 +21,8 @@ import (
 // Manager tracks page mappings for one simulated machine.
 type Manager struct {
 	pageBytes  int
-	mapped     map[memory.Addr]struct{}
+	pageShift  uint
+	mapped     memory.Table[bool] // indexed by page number
 	faultToCPU bool
 	cpuServ    sim.Tick
 	gpuServ    sim.Tick
@@ -63,7 +66,7 @@ func New(cfg Config, ctr *stats.Counters) *Manager {
 	}
 	return &Manager{
 		pageBytes:  cfg.PageBytes,
-		mapped:     map[memory.Addr]struct{}{},
+		pageShift:  uint(bits.TrailingZeros(uint(cfg.PageBytes))),
 		faultToCPU: cfg.GPUFaultToCPU,
 		cpuServ:    cfg.CPUFaultServ,
 		gpuServ:    cfg.GPUFaultServ,
@@ -88,14 +91,13 @@ func (m *Manager) pageOf(addr memory.Addr) memory.Addr {
 // the host touched before the ROI and for copy-engine implicit mappings.
 func (m *Manager) MapRange(base memory.Addr, size int) {
 	for p := m.pageOf(base); p < base+memory.Addr(size); p += memory.Addr(m.pageBytes) {
-		m.mapped[p] = struct{}{}
+		*m.mapped.At(uint64(p) >> m.pageShift) = true
 	}
 }
 
 // Mapped reports whether addr's page is resident.
 func (m *Manager) Mapped(addr memory.Addr) bool {
-	_, ok := m.mapped[m.pageOf(addr)]
-	return ok
+	return *m.mapped.At(uint64(addr) >> m.pageShift)
 }
 
 // Translate resolves addr for an access at time now and returns when the
@@ -104,11 +106,12 @@ func (m *Manager) Mapped(addr memory.Addr) bool {
 // queue on the serial CPU handler (heterogeneous processor) or cost a small
 // fixed GPU-local service time (discrete GPU driver).
 func (m *Manager) Translate(now sim.Tick, addr memory.Addr, fromGPU bool) sim.Tick {
-	page := m.pageOf(addr)
-	if _, ok := m.mapped[page]; ok {
+	mapped := m.mapped.At(uint64(addr) >> m.pageShift)
+	if *mapped {
 		return now
 	}
-	m.mapped[page] = struct{}{}
+	*mapped = true
+	page := m.pageOf(addr)
 	if !fromGPU {
 		m.cCPUMinor.Inc()
 		m.Tr.Instant(stats.CPU, "VM", "fault", "cpu minor fault", now,
