@@ -2,10 +2,12 @@
 // committed baseline (BENCH_small.json) and fails on allocation regressions.
 //
 // Timing (ns/op) is machine-dependent, so it is reported for context but
-// never gated. Allocation counts (allocs/op, B/op) are deterministic for a
-// given binary, so any increase over the baseline is a hard failure — this
-// is the hot-path-allocation ratchet: once a path reaches 0 allocs/op it
-// cannot silently grow one back.
+// never gated. Allocation counts and bytes (allocs/op, B/op) are
+// deterministic for a given binary, so an increase over the baseline is a
+// hard failure — this is the hot-path-allocation ratchet: once a path
+// reaches 0 allocs/op (or 0 B/op) it cannot silently grow one back. Small
+// values gate exactly; values above 64 (whole-sweep rows) get 2% headroom
+// for runtime noise like map-growth timing.
 //
 // Usage:
 //
@@ -31,6 +33,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Result is one benchmark's measured cost per operation.
@@ -120,6 +123,31 @@ func ratio(now, was float64) string {
 	return fmt.Sprintf("%+.1f%%", (now/was-1)*100)
 }
 
+// limit is the largest value a gated column may reach given its baseline:
+// exact for small values, so a zero-alloc path can never grow one back,
+// and 2% headroom above 64 for whole-sweep rows.
+func limit(was int64) int64 {
+	if was > 64 {
+		return was + was/50
+	}
+	return was
+}
+
+// gate decides one benchmark row: "ok", "FAIL allocs" or "FAIL B/op" when
+// a column exceeds its limit, or "no -benchmem" when either side lacks
+// the memory columns.
+func gate(now, was Result) string {
+	switch {
+	case now.AllocsPerOp < 0 || was.AllocsPerOp < 0:
+		return "no -benchmem"
+	case now.AllocsPerOp > limit(was.AllocsPerOp):
+		return "FAIL allocs"
+	case now.BytesPerOp > limit(was.BytesPerOp):
+		return "FAIL B/op"
+	}
+	return "ok"
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_small.json", "baseline JSON file")
 	update := flag.Bool("update", false, "rewrite the baseline from the observed results")
@@ -198,28 +226,10 @@ func main() {
 				name, now.NsPerOp, "-", now.AllocsPerOp, "NEW")
 			continue
 		}
-		gate := "ok"
-		if now.AllocsPerOp >= 0 && was.AllocsPerOp >= 0 {
-			// Small counts gate exactly (the zero-alloc ratchet must never
-			// slip); large counts (whole-sweep benchmarks) get 2% headroom
-			// for runtime noise like map-growth timing.
-			limit := was.AllocsPerOp
-			if limit > 64 {
-				limit += limit / 50
-			}
-			if now.AllocsPerOp > limit {
-				gate = "FAIL allocs"
-				fail = true
-			} else if now.BytesPerOp > was.BytesPerOp && was.AllocsPerOp > 0 {
-				// Same alloc count but bigger allocations: flag, don't fail —
-				// object-size drift is usually an intentional capacity change.
-				gate = "warn B/op"
-			}
-		} else {
-			gate = "no -benchmem"
-		}
+		g := gate(now, was)
+		fail = fail || strings.HasPrefix(g, "FAIL")
 		fmt.Fprintf(w, "%-44s %14.1f %12s %6d (was %3d) %10s\n",
-			name, now.NsPerOp, ratio(now.NsPerOp, was.NsPerOp), now.AllocsPerOp, was.AllocsPerOp, gate)
+			name, now.NsPerOp, ratio(now.NsPerOp, was.NsPerOp), now.AllocsPerOp, was.AllocsPerOp, g)
 	}
 	for name := range base.Benchmarks {
 		if _, ok := got[name]; !ok {

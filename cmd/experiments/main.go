@@ -5,7 +5,7 @@
 //	experiments [-exp all|table1|table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|faults]
 //	            [-size small|medium] [-only NAME[,NAME...]] [-jobs N] [-par N]
 //	            [-timeout 60s] [-max-events N] [-stall 30s]
-//	            [-state DIR] [-resume]
+//	            [-state DIR]
 //	            [-inject PLAN] [-csv DIR] [-json FILE] [-q] [-metrics]
 //	            [-trace FILE] [-flame] [-progress]
 //	            [-cpuprofile FILE] [-memprofile FILE] [-pprof ADDR]
@@ -31,12 +31,13 @@
 // stay byte-identical with it on or off.
 //
 // -state DIR makes the shared sweep crash-safe: every completed run is
-// appended durably to DIR/sweep.journal, and -resume replays that journal
-// — re-running only the missing runs — to produce output byte-identical
-// to an uninterrupted sweep. The journal is fingerprinted by the sweep
-// configuration; resuming under a different configuration is rejected.
+// stored durably in the run store at DIR (see internal/store), keyed by
+// what determines its result, and every run looks its key up first. A
+// rerun with the same -state — after an interrupt, or with a sweep that
+// overlaps an earlier one — simulates only the missing runs and produces
+// output byte-identical to a sweep that simulated everything.
 // SIGINT/SIGTERM shut down gracefully: the first signal stops dispatching
-// new runs, drains (and journals) the in-flight ones, and writes a
+// new runs, drains (and stores) the in-flight ones, and writes a
 // partial report; a second signal aborts the in-flight runs too; a third
 // restores default signal behavior. An interrupted sweep exits 130.
 // -stall kills any run whose simulated clock stops advancing for the
@@ -61,8 +62,10 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
+	"repro/internal/fsx"
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 
@@ -89,8 +92,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited)")
 	maxEvents := flag.Uint64("max-events", 0, "simulation event budget per run (0 = unlimited)")
 	stall := flag.Duration("stall", 0, "kill a run whose simulated time stops advancing for this long (0 = disabled)")
-	stateDir := flag.String("state", "", "checkpoint the shared sweep into DIR/sweep.journal for crash-safe resume")
-	resume := flag.Bool("resume", false, "replay DIR/sweep.journal (requires -state) and run only the missing runs")
+	stateDir := flag.String("state", "", "keep the shared sweep's runs in the run store at DIR and reuse the ones it already holds")
 	inject := flag.String("inject", "", "hardware fault plan for every run, e.g. pcie=0.25,fault=8,dram=0:100:600")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	metricsDump := flag.Bool("metrics", false, "print run-lifecycle metrics (Prometheus text format) to stderr at exit")
@@ -230,21 +232,19 @@ func run() int {
 	if *progress {
 		opts.Progress = sweep.NewTracker(os.Stderr, 0)
 	}
-	if *resume && *stateDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -state DIR")
-		return 2
-	}
 	if *stateDir != "" {
-		state, err := experiments.OpenState(*stateDir, *resume, size, opts)
+		st, err := store.Open(fsx.OS, *stateDir, func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint journal: %v\n", err)
+			fmt.Fprintf(os.Stderr, "-state: %v\n", err)
 			return 2
 		}
-		defer state.Close()
-		opts.State = state
-		if state.Resumed() {
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d runs already journaled\n",
-				state.Path(), state.ReplayedCount())
+		opts.Store = st.Records()
+		opts.OnStored = func(n int) {
+			if n > 0 {
+				fmt.Fprintf(os.Stderr, "reusing %d stored runs from %s\n", n, *stateDir)
+			}
 		}
 	}
 	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
@@ -257,15 +257,15 @@ func run() int {
 	for i := range errs {
 		fmt.Fprintf(os.Stderr, "run failed: %v\n", &errs[i])
 	}
-	if err := opts.State.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "warning: checkpoint journaling failed mid-sweep: %v\n", err)
+	if err := opts.Store.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: storing runs failed mid-sweep: %v\n", err)
 		fmt.Fprintln(os.Stderr, "warning: the sweep continued without persistence (degraded); results below are complete but an interrupted re-run cannot resume past this point")
 	}
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "sweep interrupted: %d of %d runs completed; output below is a partial report\n",
 			len(res.Runs), len(res.Runs)+len(res.Skipped))
 		if *stateDir != "" {
-			fmt.Fprintf(os.Stderr, "resume with: -state %s -resume\n", *stateDir)
+			fmt.Fprintf(os.Stderr, "resume with: -state %s\n", *stateDir)
 		}
 	}
 	if *tracePath != "" {

@@ -2,9 +2,10 @@ package main
 
 import (
 	"bytes"
-	"os"
+	"fmt"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -31,10 +32,33 @@ func buildBinary(t *testing.T, dir string) string {
 	return bin
 }
 
+// storedRuns counts the run records in a -state dir.
+func storedRuns(dir string) int {
+	paths, _ := filepath.Glob(filepath.Join(dir, "run-*.entry"))
+	return len(paths)
+}
+
+// simRuns extracts sim_runs_started_total from a -metrics dump.
+func simRuns(t *testing.T, stderr string) int {
+	t.Helper()
+	for _, line := range strings.Split(stderr, "\n") {
+		if v, ok := strings.CutPrefix(line, "sim_runs_started_total "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("bad metric line %q", line)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no sim_runs_started_total in stderr:\n%s", stderr)
+	return 0
+}
+
 // TestInterruptAndResume is the end-to-end crash-safety acceptance test:
-// a checkpointed sweep killed with SIGINT mid-run must exit 130 with a
-// valid journal, and a second invocation with -resume must produce stdout
-// byte-identical to an uninterrupted sweep.
+// a sweep with -state killed with SIGINT mid-run must exit 130 with its
+// completed runs stored, and a second invocation with the same -state
+// must simulate only the missing runs and produce stdout byte-identical
+// to an uninterrupted sweep.
 func TestInterruptAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -42,38 +66,35 @@ func TestInterruptAndResume(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildBinary(t, dir)
 	stateDir := filepath.Join(dir, "state")
-	journalPath := filepath.Join(stateDir, "sweep.journal")
 
-	// Reference: the uninterrupted sweep's stdout.
-	clean, err := exec.Command(bin, sweepArgs...).Output()
-	if err != nil {
+	// Reference: the uninterrupted sweep's stdout and run count.
+	var clean, cleanErr bytes.Buffer
+	cmd := exec.Command(bin, append(sweepArgs, "-metrics")...)
+	cmd.Stdout, cmd.Stderr = &clean, &cleanErr
+	if err := cmd.Run(); err != nil {
 		t.Fatalf("clean sweep: %v", err)
 	}
+	total := simRuns(t, cleanErr.String())
 
-	// Interrupted sweep: SIGINT once the journal shows three completed
-	// runs (header + 3 records = 4 lines).
+	// Interrupted sweep: SIGINT once three runs are stored.
 	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, append(sweepArgs, "-state", stateDir)...)
+	cmd = exec.Command(bin, append(sweepArgs, "-state", stateDir)...)
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Minute)
-	for {
+	for storedRuns(stateDir) < 3 {
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
-			t.Fatalf("journal never reached 3 records; stderr:\n%s", stderr.String())
-		}
-		data, err := os.ReadFile(journalPath)
-		if err == nil && bytes.Count(data, []byte("\n")) >= 4 {
-			break
+			t.Fatalf("store never reached 3 runs; stderr:\n%s", stderr.String())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	err = cmd.Wait()
+	err := cmd.Wait()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 130 {
 		t.Fatalf("interrupted sweep exit = %v, want exit status 130; stderr:\n%s", err, stderr.String())
@@ -81,30 +102,38 @@ func TestInterruptAndResume(t *testing.T) {
 	if !strings.Contains(stderr.String(), "resume with:") {
 		t.Fatalf("interrupted sweep did not advertise resume; stderr:\n%s", stderr.String())
 	}
-	if bytes.Equal(stdout.Bytes(), clean) {
+	if bytes.Equal(stdout.Bytes(), clean.Bytes()) {
 		t.Fatal("interrupted sweep printed the full report; SIGINT landed too late to test resume")
 	}
+	stored := storedRuns(stateDir)
+	if stored >= total {
+		t.Fatalf("%d of %d runs stored before the rerun; nothing left to resume", stored, total)
+	}
 
-	// Resumed sweep: must replay the journal and match the clean stdout
-	// byte for byte.
+	// Rerun with the same -state: reuse the stored runs, simulate the
+	// rest, match the clean stdout byte for byte.
 	var rout, rerr bytes.Buffer
-	cmd = exec.Command(bin, append(sweepArgs, "-state", stateDir, "-resume")...)
+	cmd = exec.Command(bin, append(sweepArgs, "-state", stateDir, "-metrics")...)
 	cmd.Stdout, cmd.Stderr = &rout, &rerr
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("resumed sweep: %v\nstderr:\n%s", err, rerr.String())
 	}
-	if !strings.Contains(rerr.String(), "resuming from") {
-		t.Fatalf("resumed sweep did not replay the journal; stderr:\n%s", rerr.String())
+	if want := fmt.Sprintf("reusing %d stored runs", stored); !strings.Contains(rerr.String(), want) {
+		t.Fatalf("resumed sweep stderr lacks %q:\n%s", want, rerr.String())
 	}
-	if !bytes.Equal(rout.Bytes(), clean) {
+	if got := simRuns(t, rerr.String()); got != total-stored {
+		t.Fatalf("resumed sweep simulated %d runs, want the %d missing ones", got, total-stored)
+	}
+	if !bytes.Equal(rout.Bytes(), clean.Bytes()) {
 		t.Fatalf("resumed stdout differs from the uninterrupted sweep\n--- clean\n%s\n--- resumed\n%s",
-			clean, rout.Bytes())
+			clean.Bytes(), rout.Bytes())
 	}
 }
 
-// TestResumeRejectsChangedConfig: -resume under a different sweep
-// configuration must fail with the fingerprint error, not splice results.
-func TestResumeRejectsChangedConfig(t *testing.T) {
+// TestStateReusesOverlappingRuns: a sweep whose benchmark list overlaps
+// an earlier sweep on the same -state dir simulates only the new
+// benchmark's runs and prints what a sweep on a fresh dir would.
+func TestStateReusesOverlappingRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
@@ -112,18 +141,29 @@ func TestResumeRejectsChangedConfig(t *testing.T) {
 	bin := buildBinary(t, dir)
 	stateDir := filepath.Join(dir, "state")
 
-	args := []string{"-exp", "fig4", "-only", "rodinia/backprop", "-jobs", "1", "-q", "-state", stateDir}
-	if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
-		t.Fatalf("checkpointed sweep: %v\n%s", err, out)
+	first := []string{"-exp", "fig4", "-only", "rodinia/backprop", "-jobs", "1", "-q", "-state", stateDir}
+	if out, err := exec.Command(bin, first...).CombinedOutput(); err != nil {
+		t.Fatalf("first sweep: %v\n%s", err, out)
 	}
+	stored := storedRuns(stateDir)
 
-	changed := []string{"-exp", "fig4", "-only", "rodinia/bfs", "-jobs", "1", "-q", "-state", stateDir, "-resume"}
-	out, err := exec.Command(bin, changed...).CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("changed config exit = %v, want 2\n%s", err, out)
+	pair := []string{"-exp", "fig4", "-only", "rodinia/backprop,rodinia/nw", "-jobs", "1", "-q", "-metrics"}
+	var fresh, freshErr bytes.Buffer
+	cmd := exec.Command(bin, pair...)
+	cmd.Stdout, cmd.Stderr = &fresh, &freshErr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("fresh sweep: %v", err)
 	}
-	if !strings.Contains(string(out), "fingerprint mismatch") {
-		t.Fatalf("missing fingerprint diagnostic:\n%s", out)
+	var out, errOut bytes.Buffer
+	cmd = exec.Command(bin, append(pair, "-state", stateDir)...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("overlapping sweep: %v\n%s", err, errOut.String())
+	}
+	if got, want := simRuns(t, errOut.String()), simRuns(t, freshErr.String())-stored; got != want {
+		t.Fatalf("overlapping sweep simulated %d runs, want %d", got, want)
+	}
+	if !bytes.Equal(out.Bytes(), fresh.Bytes()) {
+		t.Fatalf("overlapping sweep differs from a fresh one\n--- fresh\n%s\n--- reused\n%s", fresh.Bytes(), out.Bytes())
 	}
 }

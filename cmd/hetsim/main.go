@@ -6,7 +6,7 @@
 //
 //	hetsim -bench rodinia/kmeans[,parboil/spmv,...] [-mode copy|limited-copy|async-streams|parallel-chunked]
 //	       [-size small|medium] [-jobs N] [-par N] [-timeout 60s] [-max-events N] [-stall 30s]
-//	       [-state DIR] [-resume]
+//	       [-state DIR]
 //	       [-inject PLAN] [-json FILE] [-counters]
 //	       [-trace FILE] [-flame] [-progress]
 //	hetsim -list
@@ -28,15 +28,17 @@
 // per-run start/retry/done lines on stderr; reports on stdout stay
 // byte-identical with it on or off.
 //
-// -state DIR checkpoints every completed run into DIR/hetsim.journal;
-// -resume replays the journal and re-runs only the missing benchmarks,
-// printing the same reports an uninterrupted invocation would. The
-// journal is fingerprinted by the run configuration and rejected when it
-// does not match. SIGINT/SIGTERM drain in-flight runs on the first
-// signal, abort them on the second; an interrupted invocation exits 130.
-// -stall kills a run whose simulated clock freezes for the given window
-// while events still execute. Replayed runs carry no live machine, so
-// -counters prints a note for them instead of the counter dump.
+// -state DIR keeps every completed run in the run store at DIR (see
+// internal/store), keyed by what determines its result. Each run first
+// looks its key up, so rerunning an interrupted invocation — or any
+// invocation, sweep or hetsimd request that shares runs with an earlier
+// one — simulates only the missing runs and prints the same reports an
+// uninterrupted invocation would. SIGINT/SIGTERM drain in-flight runs on
+// the first signal, abort them on the second; an interrupted invocation
+// exits 130. -stall kills a run whose simulated clock freezes for the
+// given window while events still execute. Stored runs carry no live
+// machine, so -counters prints a note for them instead of the counter
+// dump.
 package main
 
 import (
@@ -44,15 +46,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/config"
+	"repro/internal/fsx"
 	"repro/internal/harness"
-	"repro/internal/journal"
+	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 
@@ -71,8 +71,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited)")
 	maxEvents := flag.Uint64("max-events", 0, "simulation event budget per run (0 = unlimited)")
 	stall := flag.Duration("stall", 0, "kill a run whose simulated time stops advancing for this long (0 = disabled)")
-	stateDir := flag.String("state", "", "checkpoint completed runs into DIR/hetsim.journal for crash-safe resume")
-	resume := flag.Bool("resume", false, "replay DIR/hetsim.journal (requires -state) and run only the missing benchmarks")
+	stateDir := flag.String("state", "", "keep completed runs in the run store at DIR and reuse the ones it already holds")
 	inject := flag.String("inject", "", "hardware fault plan, e.g. pcie=0.25,fault=8,dram=0:100:600")
 	jsonPath := flag.String("json", "", "export every run's outcome as a JSON array to this file")
 	counters := flag.Bool("counters", false, "also dump every hardware counter")
@@ -145,59 +144,31 @@ func main() {
 		prog = sweep.NewTracker(os.Stderr, len(benches))
 	}
 
-	// The checkpoint journal, when -state is given: completed runs append
-	// durably, and -resume replays them instead of re-running.
-	var state *harness.RunLog
-	if *resume && *stateDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -state DIR")
-		os.Exit(2)
-	}
+	// The run store, when -state is given: every run looks its key up
+	// first, and completed runs are stored durably.
+	var runs *store.Records
 	if *stateDir != "" {
-		slots := make([]string, len(benches))
-		for i, b := range benches {
-			slots[i] = b.Info().FullName() + "|" + mode.String()
-		}
-		fp := fingerprint(benches, mode, size, fault,
-			harness.Budget{MaxEvents: *maxEvents, Timeout: *timeout}, *stall, tracing)
-		path := filepath.Join(*stateDir, "hetsim.journal")
-		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
+		st, err := store.Open(fsx.OS, *stateDir, func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		})
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "-state: %v\n", err)
 			os.Exit(2)
 		}
-		var err error
-		if *resume {
-			state, err = harness.OpenRunLog(path, "hetsim", fp, slots)
-		} else {
-			state, err = harness.CreateRunLog(path, "hetsim", fp, slots)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint journal: %v\n", err)
-			os.Exit(2)
-		}
-		if state.Resumed() {
-			fmt.Fprintf(os.Stderr, "resuming from %s: %d runs already journaled\n",
-				state.Path(), state.ReplayedCount())
-		}
+		runs = st.Records()
 	}
 	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
 
 	// Run every benchmark on the worker pool; print in the order listed.
-	// Journaled runs are filled before dispatch and skipped by the pool.
+	// Stored runs are filled before dispatch and skipped by the pool.
+	specs := make([]harness.Spec, len(benches))
+	keys := make([]string, len(benches))
 	outs := make([]*harness.Outcome, len(benches))
+	stored := 0
 	for i, b := range benches {
-		if out := state.Replayed(b.Info().FullName() + "|" + mode.String()); out != nil {
-			outs[i] = out
-			prog.Replay(b.Info().FullName() + " " + mode.String())
-		}
-	}
-	sweep.Each(dispatchCtx, *jobs, len(benches), func(i int) {
-		if outs[i] != nil {
-			return // replayed from the journal
-		}
-		runName := benches[i].Info().FullName() + " " + mode.String()
-		prog.Start(runName)
-		spec := harness.Spec{
-			Bench: benches[i], Mode: mode, Size: size,
+		runName := b.Info().FullName() + " " + mode.String()
+		specs[i] = harness.Spec{
+			Bench: b, Mode: mode, Size: size,
 			Budget:   harness.Budget{MaxEvents: *maxEvents, Timeout: time.Duration(*timeout)},
 			Fault:    fault,
 			Ctx:      runCtx,
@@ -205,15 +176,32 @@ func main() {
 			Parallel: *par,
 		}
 		if tracing {
-			spec.Trace = recs[i]
+			specs[i].Trace = recs[i]
 		}
 		if prog != nil {
-			spec.OnRetry = func(next bench.Size, err *harness.RunError) {
+			specs[i].OnRetry = func(next bench.Size, err *harness.RunError) {
 				prog.Retry(runName, fmt.Sprintf("at %s after %s", next, err.Kind))
 			}
 		}
-		outs[i] = harness.Run(spec)
-		state.Append(benches[i].Info().FullName()+"|"+mode.String(), outs[i])
+		if runs != nil {
+			keys[i] = store.RunKey(specs[i])
+			if outs[i] = runs.Get(keys[i]); outs[i] != nil {
+				stored++
+				prog.Replay(runName)
+			}
+		}
+	}
+	if stored > 0 {
+		fmt.Fprintf(os.Stderr, "reusing %d stored runs from %s\n", stored, *stateDir)
+	}
+	sweep.Each(dispatchCtx, *jobs, len(benches), func(i int) {
+		if outs[i] != nil {
+			return // reused from the store
+		}
+		runName := benches[i].Info().FullName() + " " + mode.String()
+		prog.Start(runName)
+		outs[i] = harness.Run(specs[i])
+		runs.Put(keys[i], outs[i])
 		if out := outs[i]; out.Err != nil {
 			prog.Finish(runName, false, out.Err.Kind.String()+": "+out.Err.Msg)
 		} else {
@@ -225,10 +213,9 @@ func main() {
 	// contexts as part of releasing the handler.
 	interrupted := dispatchCtx.Err() != nil
 	stopSignals()
-	if err := state.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "warning: checkpoint journaling failed mid-run: %v\n", err)
+	if err := runs.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: storing runs failed mid-run: %v\n", err)
 	}
-	state.Close()
 
 	if tracing {
 		var runs []trace.RunTrace
@@ -297,7 +284,7 @@ func main() {
 		if *counters {
 			fmt.Println("\nhardware counters:")
 			if out.Sys == nil {
-				fmt.Println("(replayed from journal; live counters not recorded)")
+				fmt.Println("(reused from the run store; live counters not recorded)")
 			} else {
 				fmt.Print(out.Sys.Ctr.String())
 			}
@@ -305,36 +292,11 @@ func main() {
 	}
 	if interrupted || skipped > 0 {
 		if *stateDir != "" {
-			fmt.Fprintf(os.Stderr, "resume with: -state %s -resume\n", *stateDir)
+			fmt.Fprintf(os.Stderr, "resume with: -state %s\n", *stateDir)
 		}
 		os.Exit(130)
 	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// fingerprint hashes everything that determines this invocation's
-// results — the simulated system configurations, size, mode, benchmark
-// list, fault plan, budgets, stall window, and tracing — so a journal is
-// only resumed under the identical configuration. The worker count is
-// excluded, as is the intra-run worker count: results are identical for
-// every -jobs and -par value.
-func fingerprint(benches []bench.Benchmark, mode bench.Mode, size bench.Size,
-	fault *harness.FaultPlan, budget harness.Budget, stall time.Duration, tracing bool) string {
-	var fp journal.Fingerprint
-	fp.Add("version", strconv.Itoa(journal.Version))
-	fp.Add("discrete", fmt.Sprintf("%+v", config.DiscreteGPU()))
-	fp.Add("hetero", fmt.Sprintf("%+v", config.HeteroProcessor()))
-	fp.Add("size", size.String())
-	fp.Add("mode", mode.String())
-	for _, b := range benches {
-		fp.Add("bench", b.Info().FullName())
-	}
-	fp.Add("fault", fault.String())
-	fp.Add("max_events", strconv.FormatUint(budget.MaxEvents, 10))
-	fp.Add("timeout", budget.Timeout.String())
-	fp.Add("stall", stall.String())
-	fp.Add("trace", strconv.FormatBool(tracing))
-	return fp.Sum()
 }

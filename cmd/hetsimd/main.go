@@ -2,20 +2,21 @@
 // POST /v1/run accept JSON experiment requests, execute them on a bounded
 // simulation pool, and return the same SweepDoc/OutcomeJSON documents the
 // CLI commands export. One warm process amortizes engine setup across
-// many requests and memoizes completed results in a verified on-disk
-// cache; interrupted sweeps checkpoint into journals under -state and
-// resume on resubmission, across restarts.
+// many requests and keeps every completed run and response in one
+// verified on-disk run store under -state: an interrupted sweep resumes
+// on resubmission, across restarts, and any request reuses the runs
+// earlier runs and sweeps already simulated.
 //
 // GET /metrics exposes operational counters, gauges, and latency
 // histograms in Prometheus text format; every request is logged as one
 // structured line (-log-format text|json, -log-level) carrying the
 // request's correlation ID (the X-Request-Id header, echoed if the
 // client sent one, generated otherwise), which also appears in sweep
-// progress events, journal filenames, and harness trace spans.
+// progress events and harness trace spans.
 //
 // Shutdown mirrors the CLI sweeps' two-stage signal discipline: the first
 // SIGINT/SIGTERM stops admitting requests and stops dispatching new runs
-// inside in-flight sweeps (what completed is checkpointed and clients are
+// inside in-flight sweeps (what completed is stored and clients are
 // told to resubmit); a second signal aborts in-flight runs too; a third
 // restores default handling (kills the process). A clean drain exits 0.
 package main
@@ -79,9 +80,9 @@ func parseBytes(s string) (int64, error) {
 func run() int {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		state        = flag.String("state", "", "state directory for journals and the result cache (required)")
-		stateQuota   = flag.String("state-quota", "", "byte budget for the state dir, e.g. 512M or 2G (LRU cache entries evicted when over; empty = unlimited)")
-		gcInterval   = flag.Duration("gc-interval", time.Minute, "period of the state-dir GC (orphaned temps, aged quarantines, subsumed journals, quota); <0 disables")
+		state        = flag.String("state", "", "state directory for the run store (required)")
+		stateQuota   = flag.String("state-quota", "", "byte budget for the run store, e.g. 512M or 2G (LRU entries evicted when over; empty = unlimited)")
+		gcInterval   = flag.Duration("gc-interval", time.Minute, "period of the state-dir GC (orphaned temps, aged quarantines, quota, recency sidecar); <0 disables")
 		corruptAge   = flag.Duration("gc-corrupt-age", 24*time.Hour, "how long quarantined *.corrupt files are kept before GC reclaims them")
 		streamWrite  = flag.Duration("stream-write-timeout", time.Minute, "per-write deadline on streamed (?stream=) responses; a reader stalled longer is dropped; <0 disables")
 		pool         = flag.Int("pool", 0, "max concurrently executing simulations across all requests (0 = GOMAXPROCS)")
@@ -183,7 +184,7 @@ func run() int {
 
 	// First signal received: Server already rejects new work and stops
 	// dispatching runs inside in-flight sweeps; Shutdown waits for those
-	// handlers to checkpoint and respond. The drain timeout bounds a
+	// handlers to store their runs and respond. The drain timeout bounds a
 	// pathological straggler (the second signal aborts runs sooner).
 	logf("draining: waiting up to %s for in-flight requests", *drainTimeout)
 	shCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

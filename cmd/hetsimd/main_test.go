@@ -5,9 +5,9 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -111,12 +111,35 @@ func postSweep(t *testing.T, base string) (*http.Response, []byte) {
 	return resp, body
 }
 
+// simRuns scrapes the daemon's sim_runs_started_total.
+func simRuns(t *testing.T, base string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "sim_runs_started_total "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("bad metric line %q", sc.Text())
+			}
+			return n
+		}
+	}
+	t.Fatal("scrape has no sim_runs_started_total")
+	return 0
+}
+
 // TestDrainResumeAndCache is the daemon's end-to-end acceptance test:
-// SIGTERM mid-sweep must drain cleanly (exit 0) after checkpointing and
-// answering the in-flight request with the draining error; a restarted
-// daemon on the same state dir must resume the journal and produce a
-// response byte-identical to an uninterrupted daemon's; and a repeat of
-// that request must be a pure cache hit with the same bytes.
+// SIGTERM mid-sweep must drain cleanly (exit 0) after storing the
+// completed runs and answering the in-flight request with the draining
+// error; a restarted daemon on the same state dir must reuse those runs,
+// simulate only the missing ones, and produce a response byte-identical
+// to an uninterrupted daemon's; and a repeat of that request must be a
+// pure cache hit with the same bytes.
 func TestDrainResumeAndCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -124,18 +147,18 @@ func TestDrainResumeAndCache(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildBinary(t, dir)
 
-	// Reference: an uninterrupted daemon's response.
+	// Reference: an uninterrupted daemon's response and run count.
 	ref := startDaemon(t, bin, filepath.Join(dir, "stateA"))
 	refResp, refBody := postSweep(t, ref.base)
 	if refResp.StatusCode != http.StatusOK {
 		t.Fatalf("reference sweep = %d; body: %s", refResp.StatusCode, refBody)
 	}
+	total := simRuns(t, ref.base)
 	if code := ref.stop(t); code != 0 {
 		t.Fatalf("idle daemon drain exit = %d, want 0; stderr:\n%s", code, ref.stderr)
 	}
 
-	// Interrupted daemon: SIGTERM once the journal holds two completed
-	// runs (header + 2 records = 3 lines).
+	// Interrupted daemon: SIGTERM once two runs are stored.
 	stateB := filepath.Join(dir, "stateB")
 	d := startDaemon(t, bin, stateB)
 	type result struct {
@@ -147,17 +170,16 @@ func TestDrainResumeAndCache(t *testing.T) {
 		resp, body := postSweep(t, d.base)
 		inflight <- result{resp, body}
 	}()
-	journalGlob := filepath.Join(stateB, "journals", "*.journal")
+	recordGlob := filepath.Join(stateB, "cache", "run-*.entry")
+	stored := func() int {
+		paths, _ := filepath.Glob(recordGlob)
+		return len(paths)
+	}
 	deadline := time.Now().Add(2 * time.Minute)
-	for {
+	for stored() < 2 {
 		if time.Now().After(deadline) {
 			d.cmd.Process.Kill()
-			t.Fatalf("journal never reached 2 records; stderr:\n%s", d.stderr)
-		}
-		if paths, _ := filepath.Glob(journalGlob); len(paths) == 1 {
-			if data, err := os.ReadFile(paths[0]); err == nil && bytes.Count(data, []byte("\n")) >= 3 {
-				break
-			}
+			t.Fatalf("store never reached 2 runs; stderr:\n%s", d.stderr)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -174,11 +196,12 @@ func TestDrainResumeAndCache(t *testing.T) {
 	if code := d.wait(t); code != 0 {
 		t.Fatalf("drain exit = %d, want 0; stderr:\n%s", code, d.stderr)
 	}
-	if paths, _ := filepath.Glob(journalGlob); len(paths) != 1 {
-		t.Fatalf("checkpoint journal did not survive the drain: %v", paths)
+	kept := stored()
+	if kept < 2 || kept >= total {
+		t.Fatalf("%d of %d runs stored after the drain, want some but not all", kept, total)
 	}
 
-	// Restarted daemon: resume the journal, finish, match the reference.
+	// Restarted daemon: reuse the stored runs, finish, match the reference.
 	d2 := startDaemon(t, bin, stateB)
 	resp2, body2 := postSweep(t, d2.base)
 	if resp2.StatusCode != http.StatusOK {
@@ -187,23 +210,23 @@ func TestDrainResumeAndCache(t *testing.T) {
 	if got := resp2.Header.Get("X-Hetsimd-Cache"); got != "miss" {
 		t.Fatalf("resumed sweep X-Hetsimd-Cache = %q, want miss", got)
 	}
-	if got := resp2.Header.Get("X-Hetsimd-Resumed"); got == "" || got == "0" {
-		t.Fatalf("resumed sweep X-Hetsimd-Resumed = %q, want > 0", got)
+	if got := resp2.Header.Get("X-Hetsimd-Resumed"); got != strconv.Itoa(kept) {
+		t.Fatalf("resumed sweep X-Hetsimd-Resumed = %q, want %d", got, kept)
+	}
+	if got := simRuns(t, d2.base); got != total-kept {
+		t.Fatalf("resumed sweep simulated %d runs, want the %d missing ones", got, total-kept)
 	}
 	if !bytes.Equal(body2, refBody) {
 		t.Fatal("resumed response differs from the uninterrupted daemon's")
 	}
 
-	// Repeat: a pure cache hit, byte-identical, journal gone.
+	// Repeat: a pure cache hit, byte-identical.
 	resp3, body3 := postSweep(t, d2.base)
 	if got := resp3.Header.Get("X-Hetsimd-Cache"); got != "hit" {
 		t.Fatalf("repeat sweep X-Hetsimd-Cache = %q, want hit", got)
 	}
 	if !bytes.Equal(body3, refBody) {
 		t.Fatal("cached response differs from the uninterrupted daemon's")
-	}
-	if paths, _ := filepath.Glob(journalGlob); len(paths) != 0 {
-		t.Fatalf("journal not retired after completion: %v", paths)
 	}
 	if code := d2.stop(t); code != 0 {
 		t.Fatalf("final drain exit = %d, want 0; stderr:\n%s", code, d2.stderr)

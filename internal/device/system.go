@@ -111,7 +111,7 @@ func WithTrace(tr *trace.Recorder) Option {
 // WithParallel requests par total workers of intra-run parallelism
 // (timing thread included): 0 or 1 is the serial engine, 2 adds a trace
 // generation worker, 3+ adds pre-processing workers. Results, counters,
-// traces, and journals are byte-identical for every value — par is a
+// traces, and run records are byte-identical for every value — par is a
 // scheduling knob, like a sweep's -jobs. A config with zero lookahead
 // falls back to serial and records the fallback.
 func WithParallel(par int) Option {

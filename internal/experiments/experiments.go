@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -75,8 +76,8 @@ type RunMeta struct {
 	SimTime   sim.Tick
 	Events    uint64
 	// Wall is the run's total wall-clock cost across attempts. For a run
-	// replayed from a checkpoint journal this is the recorded cost of the
-	// original execution, not the (near-zero) replay time.
+	// reused from the store this is the recorded cost of the original
+	// execution, not the (near-zero) lookup time.
 	Wall time.Duration
 	// Phases carries the stage-boundary counter snapshots of the final
 	// attempt (nil when the run produced no report).
@@ -101,16 +102,16 @@ type SweepOpts struct {
 	// Parallel): 0 or 1 simulate serially; higher values pipeline trace
 	// generation inside every run. Like Jobs it is a scheduling knob —
 	// results are byte-identical for every value — so it is excluded from
-	// the resume fingerprint.
+	// every key.
 	Parallel int
 	// OnProgress is called before each run. The sweep serializes the
 	// calls, so the callback needs no locking of its own, but when
 	// Jobs > 1 the call order across benchmarks is scheduling-dependent.
 	OnProgress func(name, mode string)
 	// PerRun, if set, may adjust each run's spec before it executes — the
-	// hook tests use to force a specific benchmark to fail. Each call
-	// receives that run's private spec, but the hook itself must be safe
-	// for concurrent use when Jobs > 1.
+	// hook tests use to force a specific benchmark to fail. It is called
+	// once per slot, serially, before dispatch and before the slot's
+	// Store lookup, so the run key hashes the adjusted spec.
 	PerRun func(spec *harness.Spec)
 	// Trace records a per-run trace for every run; the recorders come back
 	// in Results.Traces for export.
@@ -120,7 +121,7 @@ type SweepOpts struct {
 	// output is unaffected.
 	Progress *sweep.Tracker
 	// Ctx, when non-nil, cancels dispatch: once it is done, no further
-	// run starts; in-flight runs drain to completion (and are journaled)
+	// run starts; in-flight runs drain to completion (and are stored)
 	// and the undone remainder comes back in Results.Skipped. A nil Ctx
 	// never cancels.
 	Ctx context.Context
@@ -129,10 +130,15 @@ type SweepOpts struct {
 	// wire this to the second interrupt signal. Independent of Ctx — a
 	// graceful shutdown cancels only Ctx.
 	RunCtx context.Context
-	// State, when non-nil, is the crash-safe checkpoint journal: every
-	// completed run is appended durably, and runs the journal already
-	// holds are replayed instead of executed (see OpenState).
-	State *harness.RunLog
+	// Store, when non-nil, holds completed runs by run key: a slot whose
+	// record it already holds is reused instead of simulated — which is
+	// how an interrupted sweep resumes and how overlapping sweeps and
+	// single runs share work — and every run this sweep completes is put
+	// there durably.
+	Store *store.Records
+	// OnStored, when set, is called once before any run starts with the
+	// number of slots found in Store (the runs this sweep reuses).
+	OnStored func(n int)
 	// Stall arms each run's stall watchdog: a run whose simulated time
 	// stops advancing for this long while events churn is killed as
 	// KindStalled instead of spinning forever. Zero disables it.
@@ -140,8 +146,8 @@ type SweepOpts struct {
 	// RequestID is the correlation ID of the request this sweep serves
 	// (hetsimd threads the sanitized X-Request-Id here). It rides into
 	// each run's harness spec, where it lands as a request_id arg on the
-	// lifecycle trace instants. Never part of the fingerprint: it does
-	// not affect results.
+	// lifecycle trace instants. Never part of a key: it does not affect
+	// results.
 	RequestID string
 }
 
@@ -181,15 +187,46 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 			recs[i] = trace.New()
 		}
 	}
-	opts.Progress.SetTotal(len(slots))
 
-	// Replay checkpointed runs before dispatch: a replayed slot is filled
-	// from the journal and its task below degenerates to a no-op, so a
-	// resumed sweep executes only the missing runs yet assembles the full
-	// result set — byte-identical to an uninterrupted sweep.
+	// Every slot's spec is built up front so its run key can be looked up
+	// before dispatch: a stored slot is filled from its record and its
+	// task below degenerates to a no-op, so a sweep executes only the
+	// missing runs yet assembles the full result set — byte-identical to
+	// a sweep that simulated everything.
+	specs := make([]harness.Spec, len(slots))
+	keys := make([]string, len(slots))
+	stored := 0
 	for i, s := range slots {
-		if out := opts.State.Replayed(s.key()); out != nil {
-			outs[i] = out
+		runName := s.name + " " + s.mode.String()
+		specs[i] = harness.Spec{
+			Bench: s.b, Mode: s.mode, Size: size, Budget: opts.Budget, Fault: opts.Fault,
+			Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
+			Parallel: opts.Parallel,
+		}
+		if opts.Trace {
+			specs[i].Trace = recs[i]
+		}
+		if opts.Progress != nil {
+			specs[i].OnRetry = func(next bench.Size, err *harness.RunError) {
+				opts.Progress.Retry(runName, fmt.Sprintf("%s at %s, degrading to %s", err.Kind, err.Size, next))
+			}
+		}
+		if opts.PerRun != nil {
+			opts.PerRun(&specs[i])
+		}
+		if opts.Store != nil {
+			keys[i] = store.RunKey(specs[i])
+			if outs[i] = opts.Store.Get(keys[i]); outs[i] != nil {
+				stored++
+			}
+		}
+	}
+	if opts.OnStored != nil {
+		opts.OnStored(stored)
+	}
+	opts.Progress.SetTotal(len(slots))
+	for i, s := range slots {
+		if outs[i] != nil {
 			opts.Progress.Replay(s.name + " " + s.mode.String())
 		}
 	}
@@ -197,7 +234,7 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 	var progressMu sync.Mutex
 	sweep.Each(opts.Ctx, opts.Jobs, len(slots), func(i int) {
 		if outs[i] != nil {
-			return // replayed from the journal
+			return // reused from the store
 		}
 		s := slots[i]
 		runName := s.name + " " + s.mode.String()
@@ -207,24 +244,8 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 			progressMu.Unlock()
 		}
 		opts.Progress.Start(runName)
-		spec := harness.Spec{
-			Bench: s.b, Mode: s.mode, Size: size, Budget: opts.Budget, Fault: opts.Fault,
-			Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
-			Parallel: opts.Parallel,
-		}
-		if opts.Trace {
-			spec.Trace = recs[i]
-		}
-		if opts.Progress != nil {
-			spec.OnRetry = func(next bench.Size, err *harness.RunError) {
-				opts.Progress.Retry(runName, fmt.Sprintf("%s at %s, degrading to %s", err.Kind, err.Size, next))
-			}
-		}
-		if opts.PerRun != nil {
-			opts.PerRun(&spec)
-		}
-		outs[i] = harness.Run(spec)
-		opts.State.Append(s.key(), outs[i])
+		outs[i] = harness.Run(specs[i])
+		opts.Store.Put(keys[i], outs[i])
 		if opts.Progress != nil {
 			out := outs[i]
 			if out.Err != nil {

@@ -3,14 +3,19 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/device"
-	"repro/internal/journal"
+	"repro/internal/harness"
+	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // resumeOpts is the shared sweep shape of the checkpoint/resume tests:
@@ -34,26 +39,47 @@ func zeroWalls(r *Results) {
 	}
 }
 
+// openRecords opens a fresh view of the run store at dir.
+func openRecords(t *testing.T, dir string) *store.Records {
+	t.Helper()
+	st, err := store.Open(nil, dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Records()
+}
+
+// countingSweep runs a sweep over the store at dir and reports how many
+// runs it found stored and how many it simulated.
+func countingSweep(t *testing.T, dir string, size bench.Size, opts SweepOpts) (res *Results, stored, simulated int) {
+	t.Helper()
+	var sims atomic.Int32
+	opts.Store = openRecords(t, dir)
+	opts.OnStored = func(n int) { stored = n }
+	opts.OnProgress = func(name, mode string) { sims.Add(1) }
+	res, _ = RunSweep(size, opts)
+	if err := opts.Store.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return res, stored, int(sims.Load())
+}
+
 // TestSweepCheckpointResume is the in-process resume acceptance test: a
-// sweep canceled partway, then resumed from its journal, must produce
-// figures and a JSON document identical to an uninterrupted sweep — and
-// must not re-execute the journaled runs.
+// sweep canceled partway, then rerun over the same run store, must
+// produce figures and a JSON document identical to an uninterrupted sweep
+// — and must not re-execute the stored runs.
 func TestSweepCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 
 	clean, _ := RunSweep(bench.SizeSmall, resumeOpts())
 
 	// Interrupted sweep: cancel dispatch after the third run starts. The
-	// in-flight run drains and journals (graceful-shutdown contract), so
-	// the journal ends up with the first three runs.
+	// in-flight run drains and is stored (graceful-shutdown contract), so
+	// the store ends up with the first three runs.
 	opts := resumeOpts()
-	state, err := OpenState(dir, false, bench.SizeSmall, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
-	opts.State = state
+	opts.Store = openRecords(t, dir)
 	opts.Ctx = ctx
 	opts.OnProgress = func(name, mode string) {
 		if started.Add(1) == 3 {
@@ -62,9 +88,6 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 	partial, _ := RunSweep(bench.SizeSmall, opts)
 	cancel()
-	if err := state.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if len(partial.Skipped) == 0 {
 		t.Fatal("canceled sweep skipped nothing; cancellation came too late to test resume")
 	}
@@ -76,23 +99,13 @@ func TestSweepCheckpointResume(t *testing.T) {
 			len(partial.Runs), len(partial.Skipped), len(clean.Runs))
 	}
 
-	// Resumed sweep: replays the journal, runs only the remainder.
-	opts = resumeOpts()
-	state, err = OpenState(dir, true, bench.SizeSmall, opts)
-	if err != nil {
-		t.Fatal(err)
+	// Rerun: looks every slot up, runs only the remainder.
+	resumed, stored, simulated := countingSweep(t, dir, bench.SizeSmall, resumeOpts())
+	if stored != 3 {
+		t.Fatalf("rerun found %d stored runs, want 3", stored)
 	}
-	defer state.Close()
-	if !state.Resumed() || state.ReplayedCount() != 3 {
-		t.Fatalf("resumed=%v replayed=%d, want true/3", state.Resumed(), state.ReplayedCount())
-	}
-	var resumedRuns atomic.Int32
-	opts.State = state
-	opts.OnProgress = func(name, mode string) { resumedRuns.Add(1) }
-	resumed, _ := RunSweep(bench.SizeSmall, opts)
-
-	if got := int(resumedRuns.Load()); got != len(clean.Runs)-3 {
-		t.Fatalf("resumed sweep executed %d runs, want %d", got, len(clean.Runs)-3)
+	if simulated != len(clean.Runs)-3 {
+		t.Fatalf("rerun executed %d runs, want %d", simulated, len(clean.Runs)-3)
 	}
 	if len(resumed.Skipped) != 0 {
 		t.Fatalf("resumed sweep skipped %v", resumed.Skipped)
@@ -116,38 +129,46 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestOpenStateFingerprintMismatch: resuming under a changed sweep
-// configuration is rejected, not silently spliced.
-func TestOpenStateFingerprintMismatch(t *testing.T) {
+// TestSweepStoreKeysByConfig: runs are shared exactly where their
+// result-determining inputs match. A sweep that overlaps an earlier one
+// simulates only the new benchmark's runs; a sweep under a changed
+// configuration reuses nothing.
+func TestSweepStoreKeysByConfig(t *testing.T) {
 	dir := t.TempDir()
-	opts := resumeOpts()
-	state, err := OpenState(dir, false, bench.SizeSmall, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state.Close()
-
-	changed := resumeOpts()
-	changed.Only = changed.Only[:2] // different benchmark list
-	if _, err := OpenState(dir, true, bench.SizeSmall, changed); !errors.Is(err, journal.ErrFingerprint) {
-		t.Fatalf("changed bench list: got %v, want ErrFingerprint", err)
+	one := SweepOpts{Only: []string{"rodinia/backprop"}, Jobs: 1}
+	first, stored, simulated := countingSweep(t, dir, bench.SizeSmall, one)
+	if stored != 0 || simulated != len(first.Runs) {
+		t.Fatalf("fresh store: stored=%d simulated=%d, want 0/%d", stored, simulated, len(first.Runs))
 	}
 
-	sized := resumeOpts()
-	if _, err := OpenState(dir, true, bench.SizeMedium, sized); !errors.Is(err, journal.ErrFingerprint) {
-		t.Fatalf("changed size: got %v, want ErrFingerprint", err)
+	// Overlap: backprop's runs are reused, nw's are simulated.
+	two := SweepOpts{Only: []string{"rodinia/backprop", "rodinia/nw"}, Jobs: 1}
+	both, stored, simulated := countingSweep(t, dir, bench.SizeSmall, two)
+	if stored != len(first.Runs) || simulated != len(both.Runs)-len(first.Runs) {
+		t.Fatalf("overlapping sweep: stored=%d simulated=%d, want %d/%d",
+			stored, simulated, len(first.Runs), len(both.Runs)-len(first.Runs))
+	}
+	fresh, _ := RunSweep(bench.SizeSmall, two)
+	zeroWalls(both)
+	zeroWalls(fresh)
+	aj, _ := json.Marshal(both.JSON())
+	bj, _ := json.Marshal(fresh.JSON())
+	if string(aj) != string(bj) {
+		t.Fatal("sweep over shared runs differs from the same sweep on a fresh store")
 	}
 
-	// The identical configuration resumes fine.
-	state, err = OpenState(dir, true, bench.SizeSmall, resumeOpts())
-	if err != nil {
-		t.Fatalf("identical config rejected: %v", err)
+	// A changed result-determining input is a different run.
+	changed := one
+	changed.Stall = time.Hour
+	_, stored, simulated = countingSweep(t, dir, bench.SizeSmall, changed)
+	if stored != 0 || simulated != len(first.Runs) {
+		t.Fatalf("changed stall window: stored=%d simulated=%d, want 0/%d", stored, simulated, len(first.Runs))
 	}
-	state.Close()
 }
 
 // TestSweepFingerprintIgnoresJobs: results are identical for every worker
-// count, so a journal written at one -jobs value must resume at another.
+// count, so a sweep served at one jobs value is the same document as at
+// another.
 func TestSweepFingerprintIgnoresJobs(t *testing.T) {
 	a := resumeOpts()
 	a.Jobs = 1
@@ -163,9 +184,20 @@ func TestSweepFingerprintIgnoresJobs(t *testing.T) {
 	}
 }
 
+// baseSpec is the run the run-key tables vary one input at a time.
+func baseSpec(t *testing.T) harness.Spec {
+	t.Helper()
+	b, ok := bench.Get("rodinia/backprop")
+	if !ok {
+		t.Fatal("rodinia/backprop not registered")
+	}
+	return harness.Spec{Bench: b, Mode: bench.ModeCopy, Size: bench.SizeSmall}
+}
+
 // TestFingerprintExcludesParallel: the intra-run worker count is the same
 // kind of scheduling knob as Jobs — byte-identical results for every value
-// — so a journal written serially must resume under -par and vice versa.
+// — so neither the sweep's document key nor any run key may depend on it,
+// nor on any other scheduling input.
 func TestFingerprintExcludesParallel(t *testing.T) {
 	a := resumeOpts()
 	a.Parallel = 0
@@ -173,6 +205,24 @@ func TestFingerprintExcludesParallel(t *testing.T) {
 	b.Parallel = 8
 	if SweepFingerprint(bench.SizeSmall, a) != SweepFingerprint(bench.SizeSmall, b) {
 		t.Fatal("fingerprint must not depend on the intra-run worker count")
+	}
+
+	base := store.RunKey(baseSpec(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, mutate := range map[string]func(*harness.Spec){
+		"parallel":   func(s *harness.Spec) { s.Parallel = 8 },
+		"backoff":    func(s *harness.Spec) { s.Backoff = time.Second },
+		"jitter":     func(s *harness.Spec) { s.Jitter = 0.5 },
+		"request id": func(s *harness.Spec) { s.RequestID = "req-7" },
+		"ctx":        func(s *harness.Spec) { s.Ctx = ctx },
+		"on retry":   func(s *harness.Spec) { s.OnRetry = func(bench.Size, *harness.RunError) {} },
+	} {
+		spec := baseSpec(t)
+		mutate(&spec)
+		if store.RunKey(spec) != base {
+			t.Errorf("run key depends on scheduling input %q", name)
+		}
 	}
 }
 
@@ -193,53 +243,86 @@ func (b *modeSetBench) Run(s *device.System, mode bench.Mode, size bench.Size) {
 }
 
 // TestFingerprintCoversModeSet: a benchmark's organization list is part
-// of the sweep fingerprint, so a journal (or cache entry keyed by the
-// fingerprint) recorded before the benchmark gained an extra mode can
-// never alias the new sweep — resume is rejected with ErrFingerprint,
-// which the CLI maps to exit 2.
+// of the sweep fingerprint, so a document stored before the benchmark
+// gained an extra mode can never alias the new sweep. Likewise every
+// result-determining input of a run changes its run key, and no run key
+// equals a document key.
 func TestFingerprintCoversModeSet(t *testing.T) {
 	stub := &modeSetBench{}
 	bench.Register(stub)
 	opts := SweepOpts{Only: []string{"zz_test/modeset"}, Jobs: 1}
-
-	dir := t.TempDir()
-	state, err := OpenState(dir, false, bench.SizeSmall, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state.Close()
 	before := SweepFingerprint(bench.SizeSmall, opts)
 
-	// The benchmark gains async-streams support; the fingerprint moves
-	// and the old journal no longer resumes.
+	// The benchmark gains async-streams support; the fingerprint moves.
 	stub.extra = []bench.Mode{bench.ModeAsyncStreams}
 	if after := SweepFingerprint(bench.SizeSmall, opts); after == before {
 		t.Fatal("fingerprint must cover the benchmark's organization list")
 	}
-	if _, err := OpenState(dir, true, bench.SizeSmall, opts); !errors.Is(err, journal.ErrFingerprint) {
-		t.Fatalf("changed mode set: got %v, want ErrFingerprint", err)
-	}
-
-	// Restoring the original mode set resumes fine.
 	stub.extra = nil
-	state, err = OpenState(dir, true, bench.SizeSmall, opts)
-	if err != nil {
-		t.Fatalf("restored mode set rejected: %v", err)
+	if again := SweepFingerprint(bench.SizeSmall, opts); again != before {
+		t.Fatal("restoring the mode set must restore the fingerprint")
 	}
-	state.Close()
-}
 
-// TestOpenStateJournalOnDisk pins the journal file location the docs
-// promise (-state DIR writes DIR/sweep.journal).
-func TestOpenStateJournalOnDisk(t *testing.T) {
-	dir := t.TempDir()
-	state, err := OpenState(filepath.Join(dir, "nested", "state"), false, bench.SizeSmall, resumeOpts())
+	kmeans, _ := bench.Get("rodinia/kmeans")
+	fault, err := harness.ParseFaultPlan("pcie=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer state.Close()
-	want := filepath.Join(dir, "nested", "state", "sweep.journal")
-	if state.Path() != want {
-		t.Fatalf("journal at %s, want %s", state.Path(), want)
+	base := store.RunKey(baseSpec(t))
+	if !strings.HasPrefix(base, store.RunKeyPrefix) {
+		t.Fatalf("run key %q lacks the %q prefix", base, store.RunKeyPrefix)
+	}
+	keys := map[string]string{"base": base}
+	for name, mutate := range map[string]func(*harness.Spec){
+		"bench":        func(s *harness.Spec) { s.Bench = kmeans },
+		"mode":         func(s *harness.Spec) { s.Mode = bench.ModeLimitedCopy },
+		"size":         func(s *harness.Spec) { s.Size = bench.SizeMedium },
+		"fault":        func(s *harness.Spec) { s.Fault = fault },
+		"max_events":   func(s *harness.Spec) { s.Budget.MaxEvents = 1000 },
+		"timeout":      func(s *harness.Spec) { s.Budget.Timeout = time.Minute },
+		"max_attempts": func(s *harness.Spec) { s.MaxAttempts = 1 },
+		"stall":        func(s *harness.Spec) { s.Stall = time.Minute },
+		"trace":        func(s *harness.Spec) { s.Trace = trace.New() },
+	} {
+		spec := baseSpec(t)
+		mutate(&spec)
+		k := store.RunKey(spec)
+		for other, ok := range keys {
+			if k == ok {
+				t.Errorf("run key for changed %s equals the key for %s", name, other)
+			}
+		}
+		keys[name] = k
+	}
+	for name, k := range keys {
+		if k == before || k == SweepFingerprint(bench.SizeSmall, resumeOpts()) {
+			t.Errorf("run key %s collides with a document key", name)
+		}
+	}
+}
+
+// TestSweepStoreOnDisk pins the layout the docs promise: -state DIR is
+// the store itself, holding one DIR/run-<hex>.entry record per completed
+// slot, named by the slot's run key.
+func TestSweepStoreOnDisk(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nested", "state")
+	opts := SweepOpts{Only: []string{"rodinia/backprop"}, Jobs: 1}
+	res, _, _ := countingSweep(t, dir, bench.SizeSmall, opts)
+
+	var want []string
+	for _, s := range sweepSlots(onlySet(opts.Only)) {
+		want = append(want, store.RunKey(harness.Spec{Bench: s.b, Mode: s.mode, Size: bench.SizeSmall})+".entry")
+	}
+	sort.Strings(want)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	if len(want) != len(res.Runs) || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("store dir holds %v, want %v", got, want)
 	}
 }

@@ -1,12 +1,13 @@
 // Package fsx is the persistence layer's filesystem seam: the handful of
-// file operations the journal WAL and the daemon's result cache actually
-// perform, behind an interface small enough to fault-inject.
+// file operations the run store (internal/store) and the daemon's state-dir
+// housekeeping actually perform, behind an interface small enough to
+// fault-inject.
 //
 // The paper's method is to measure how a pipeline degrades when one
 // component misbehaves, and config.FaultConfig lets the simulator inject
 // exactly that — a throttled PCIe link, a slow fault handler — without
 // touching callers. The persistence layer deserves the same treatment:
-// ENOSPC on an fsync'd append, EIO on a directory sync, a failing rename
+// ENOSPC on an fsync'd write, EIO on a directory sync, a failing rename
 // are real production events, and the only way to prove the daemon
 // degrades instead of dying is to inject them deterministically. fsx.OS
 // is the passthrough the production binaries use; fsx.Fault (fault.go)
@@ -21,9 +22,8 @@ import (
 	"time"
 )
 
-// File is the open-file surface the persistence layer uses: sequential
-// reads (journal replay), appends (journal writes), truncation (torn-tail
-// recovery), and durability (Sync).
+// File is the open-file surface of the persistence layer: reads, writes,
+// seeks, truncation, and durability (Sync).
 type File interface {
 	io.Reader
 	io.Writer
@@ -33,22 +33,22 @@ type File interface {
 	Name() string
 	// Sync flushes the file's contents to stable storage.
 	Sync() error
-	// Truncate cuts the file to size bytes (torn-tail recovery).
+	// Truncate cuts the file to size bytes.
 	Truncate(size int64) error
 	// Stat reports the file's metadata (size checks).
 	Stat() (fs.FileInfo, error)
 }
 
-// FS is the directory-level surface: everything internal/journal and the
-// server's cache/state-dir code touch. Implementations must be safe for
+// FS is the directory-level surface: everything the run store and the
+// server's state-dir code touch. Implementations must be safe for
 // concurrent use.
 type FS interface {
 	// OpenFile opens path with the os.OpenFile flag semantics.
 	OpenFile(path string, flag int, perm fs.FileMode) (File, error)
-	// ReadFile reads the whole file (cache entry reads).
+	// ReadFile reads the whole file (store entry reads).
 	ReadFile(path string) ([]byte, error)
 	// CreateTemp creates a temp file in dir with the os.CreateTemp
-	// pattern semantics (atomic cache writes stage through it).
+	// pattern semantics (atomic store writes stage through it).
 	CreateTemp(dir, pattern string) (File, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error

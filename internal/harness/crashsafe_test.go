@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -160,7 +159,7 @@ func TestRunWallDurations(t *testing.T) {
 }
 
 // TestOutcomeRecordRoundTrip is the byte-identity foundation of resume:
-// an Outcome pushed through its journal record and back must render the
+// an Outcome pushed through its run record and back must render the
 // same report text and the same JSON document as the original.
 func TestOutcomeRecordRoundTrip(t *testing.T) {
 	check := func(t *testing.T, out *Outcome) {
@@ -189,7 +188,7 @@ func TestOutcomeRecordRoundTrip(t *testing.T) {
 		if string(aj) != string(bj) {
 			t.Fatalf("outcome JSON changed across the round trip:\n%s\nvs\n%s", aj, bj)
 		}
-		// Re-recording must be byte-stable too (journal idempotence).
+		// Re-recording must be byte-stable too (record idempotence).
 		data2, _ := json.Marshal(back.Record())
 		if string(data) != string(data2) {
 			t.Fatal("record is not byte-stable across a round trip")
@@ -217,67 +216,4 @@ func TestOutcomeRecordRoundTrip(t *testing.T) {
 		}
 		check(t, out)
 	})
-}
-
-// TestRunLogRoundTrip: outcomes journaled through a RunLog replay
-// identically, canceled outcomes are skipped, and a nil log is inert.
-func TestRunLogRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.journal")
-	log, err := CreateRunLog(path, "test", "fp1", []string{"a|copy", "b|copy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok := Run(Spec{Bench: fakeBench{name: "ok", run: okRun(500)}, Mode: bench.ModeLimitedCopy, Size: bench.SizeSmall})
-	if ok.Err != nil {
-		t.Fatal(ok.Err)
-	}
-	if err := log.Append("a|copy", ok); err != nil {
-		t.Fatal(err)
-	}
-	// A canceled outcome must NOT be journaled: it is shutdown residue,
-	// and a resumed sweep should re-run the benchmark.
-	canceled := &Outcome{Err: &RunError{Kind: KindCanceled, Benchmark: "fake/b"}, Attempts: 1}
-	if err := log.Append("b|copy", canceled); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenRunLog(path, "test", "fp1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if !re.Resumed() || re.ReplayedCount() != 1 {
-		t.Fatalf("resumed=%v replayed=%d, want true/1", re.Resumed(), re.ReplayedCount())
-	}
-	got := re.Replayed("a|copy")
-	if got == nil || got.Report == nil || got.Report.String() != ok.Report.String() {
-		t.Fatal("replayed outcome does not match the journaled one")
-	}
-	if re.Replayed("b|copy") != nil {
-		t.Fatal("canceled outcome was journaled")
-	}
-
-	// Nil-log inertness: the un-journaled sweep path.
-	var nilLog *RunLog
-	if nilLog.Replayed("a|copy") != nil || nilLog.Append("x", ok) != nil ||
-		nilLog.Err() != nil || nilLog.Resumed() || nilLog.Close() != nil {
-		t.Fatal("nil RunLog is not inert")
-	}
-}
-
-// TestOpenRunLogMissingFile: resuming with no journal on disk is a fresh
-// start, not an error.
-func TestOpenRunLogMissingFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "none.journal")
-	log, err := OpenRunLog(path, "test", "fp1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	if log.Resumed() || log.ReplayedCount() != 0 {
-		t.Fatal("missing journal must open as a fresh log")
-	}
 }

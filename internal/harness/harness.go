@@ -46,7 +46,7 @@ const (
 	KindUsage
 	// KindCanceled is a run killed by context cancellation (operator
 	// shutdown, sweep abort). Canceled runs are artifacts of the shutdown,
-	// not results: the sweep journal skips them so a resumed sweep re-runs
+	// not results: the run store skips them so a resumed sweep re-runs
 	// them from scratch.
 	KindCanceled
 	// KindStalled is a run killed by the stall watchdog: its engine
@@ -171,14 +171,14 @@ type Spec struct {
 	// RequestID, when non-empty, is the correlation ID of the request this
 	// run serves. It is stamped as a request_id arg on the harness's
 	// lifecycle trace instants (attempt start, retry, failure), so a
-	// Perfetto trace can be tied back to the access log line and journal
-	// that produced it. It never affects results.
+	// Perfetto trace can be tied back to the access log line of the
+	// request that produced it. It never affects results.
 	RequestID string
 	// Parallel is the intra-run worker count (timing thread included):
 	// 0 or 1 runs the serial engine, 2+ pipelines trace generation and
 	// pre-processing through device.WithParallel. Like a sweep's jobs
-	// count it is a scheduling knob, excluded from journal fingerprints:
-	// results, counters, traces, and journals are byte-identical for
+	// count it is a scheduling knob, excluded from run keys: results,
+	// counters, traces, and run records are byte-identical for
 	// every value.
 	Parallel int
 }

@@ -11,7 +11,7 @@ import (
 // atomic add, keeping the harness off every allocation profile.
 var (
 	mRunsStarted = metrics.Default.Counter("sim_runs_started_total",
-		"Benchmark runs the harness began executing (replayed runs excluded).")
+		"Benchmark runs the harness began executing (runs reused from a run store excluded).")
 	mRunsCompleted = metrics.Default.Counter("sim_runs_completed_total",
 		"Benchmark runs that finished with a report.")
 	mRunsFailed = metrics.Default.CounterVec("sim_runs_failed_total",
@@ -25,10 +25,6 @@ var (
 		metrics.LogBuckets(1e3, 1e9, 2))
 	mStallTrips = metrics.Default.Counter("sim_stall_trips_total",
 		"Stall-watchdog interrupts delivered to wedged runs.")
-	mJournalResumes = metrics.Default.Counter("sim_journal_resumes_total",
-		"Checkpoint journals opened with recorded outcomes to replay.")
-	mJournalReplayedRuns = metrics.Default.Counter("sim_journal_replayed_runs_total",
-		"Run outcomes restored from checkpoint journals instead of executed.")
 
 	// failedByKind pre-resolves one counter per failure kind; kinds are a
 	// small closed enum so the array resolves fully at init.

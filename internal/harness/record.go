@@ -9,11 +9,12 @@ import (
 )
 
 // OutcomeRecord is the lossless, JSON-round-trippable persistence form of
-// an Outcome — what the sweep journal writes per completed run so a
-// resumed sweep can rebuild the outcome exactly and render byte-identical
-// reports. It mirrors Outcome field for field except Sys: a simulated
-// machine cannot (and need not) be serialized, so replayed outcomes carry
-// a nil Sys and consumers that inspect live counters must guard for it.
+// an Outcome — the run record the store keeps per completed run, so a
+// later sweep or request can rebuild the outcome exactly and render
+// byte-identical reports. It mirrors Outcome field for field except Sys:
+// a simulated machine cannot (and need not) be serialized, so reused
+// outcomes carry a nil Sys and consumers that inspect live counters must
+// guard for it.
 //
 // Losslessness matters: core.Report round-trips exactly through
 // encoding/json (integer Ticks, exact shortest-form floats), which is

@@ -3,8 +3,8 @@
 // funnel their operational counters through. The paper's whole method is
 // accounting for where time goes; once the reproduction runs as a
 // long-lived service, the serving path itself needs the same discipline —
-// request rates and latencies, admission-gate depth, cache hits, journal
-// replays, run outcomes — exported live instead of buried in per-run
+// request rates and latencies, admission-gate depth, store hits, reused
+// runs, run outcomes — exported live instead of buried in per-run
 // trace files.
 //
 // The design constraints mirror internal/trace:
@@ -82,8 +82,8 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// Default is the process-wide registry: the harness, sweep, and journal
-// layers register their run-lifecycle counters here at package init, the
+// Default is the process-wide registry: the harness and sweep layers
+// register their run-lifecycle counters here at package init, the
 // daemon serves it at GET /metrics, and cmd/experiments dumps it with
 // -metrics — one registry, so an access log line, a scrape, and a CLI
 // summary all describe the same counters.

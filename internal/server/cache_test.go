@@ -6,12 +6,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/store"
 )
 
-func testCache(t *testing.T) (*Cache, string) {
+// The store's document-entry behavior as the daemon relies on it: round
+// trips, empty bodies, quarantine of every flavor of damage.
+
+func testCache(t *testing.T) (*store.Store, string) {
 	t.Helper()
 	dir := t.TempDir()
-	c, err := NewCache(dir, t.Logf)
+	c, err := store.Open(nil, dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

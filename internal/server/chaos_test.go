@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/fsx"
+	"repro/internal/harness"
+	"repro/internal/store"
 )
 
 // The chaos suite: script filesystem failures underneath a live daemon
@@ -76,53 +79,76 @@ func mustSweep(t *testing.T, url, wantPersist string, wantBody []byte) *http.Res
 	return resp
 }
 
-// TestChaosTornAppendENOSPC: the disk fills mid-sweep, tearing a journal
-// append. The sweep finishes from memory, the response is identical to a
-// healthy run, and after the disk clears the torn journal resumes
-// cleanly and persistence heals.
-func TestChaosTornAppendENOSPC(t *testing.T) {
+// runRecords lists the run records in a server's store.
+func runRecords(t *testing.T, s *Server) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(s.store.Dir(), store.RunKeyPrefix+"*.entry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// TestChaosTornPutENOSPC: the disk fills mid-sweep, tearing a run
+// record's Put. The sweep finishes from memory, the response is identical
+// to a healthy run, and after the disk clears a restarted daemon on the
+// same state dir reuses the record that landed, simulates the rest, and
+// answers byte-identically; persistence heals on the first daemon too.
+func TestChaosTornPutENOSPC(t *testing.T) {
 	clean := cleanBaseline(t)
 	ff, s, url := faultedServer(t)
 
-	// Write #1 is the journal header; write #2 is the first run's append —
-	// that one tears (half the line lands) and every write after fails,
-	// probe writes included, until the fault clears.
-	ff.Inject(fsx.Rule{Op: fsx.OpWrite, Nth: 2, Err: fsx.ErrNoSpace, Trip: true, ShortWrite: true})
+	// Writes #1 and #2 are the first record's header and body; write #3
+	// starts the second record — that one tears (half the header lands)
+	// and every write after fails, probe writes included, until the
+	// fault clears.
+	ff.Inject(fsx.Rule{Op: fsx.OpWrite, Nth: 3, Err: fsx.ErrNoSpace, Trip: true, ShortWrite: true})
 	mustSweep(t, url, "degraded", clean)
-	if op, _, degraded := s.persist.detail(); !degraded || op != opJournalAppend {
-		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opJournalAppend)
+	if op, _, degraded := s.persist.detail(); !degraded || op != opRecordPut {
+		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opRecordPut)
 	}
-	// Nothing was memoized: the state dir holds only the torn journal.
-	journals, _ := filepath.Glob(filepath.Join(s.journalDir, "*.journal"))
-	if len(journals) != 1 {
-		t.Fatalf("journals after torn sweep = %v, want the torn one", journals)
+	// Only the first run was stored; no document was memoized.
+	if recs := runRecords(t, s); len(recs) != 1 {
+		t.Fatalf("run records after torn sweep = %v, want the one that landed", recs)
+	}
+	if s.store.Len() != 1 {
+		t.Fatalf("store holds %d entries, want just the one record", s.store.Len())
 	}
 
-	// The disk clears; the probe re-enables persistence, and the next
-	// request reopens the torn journal (truncating the torn tail), runs,
-	// and memoizes — same bytes throughout.
+	// The disk clears. A restarted daemon over the same state dir
+	// completes the sweep byte-identically, reusing the stored run.
 	ff.Clear()
-	waitPersist(t, s, "ok")
-	mustSweep(t, url, "ok", clean)
+	_, ts2 := newTestServer(t, func(c *Config) {
+		c.StateDir = s.cfg.StateDir
+		c.GCInterval = -1
+	})
+	resp := mustSweep(t, ts2.URL, "ok", clean)
+	if got := resp.Header.Get(HeaderResumed); got != "1" {
+		t.Fatalf("restarted sweep %s = %q, want 1", HeaderResumed, got)
+	}
 
-	resp := mustSweep(t, url, "ok", clean)
+	// The first daemon's probe re-enables persistence; its next request
+	// finds the document the restarted daemon stored — same bytes
+	// throughout.
+	waitPersist(t, s, "ok")
+	resp = mustSweep(t, url, "ok", clean)
 	if got := resp.Header.Get(HeaderCache); got != "hit" {
 		t.Fatalf("post-recovery repeat %s = %q, want hit", HeaderCache, got)
 	}
 }
 
-// TestChaosFsyncEIO: every fsync fails (a dying device), so the journal
-// cannot even be created. The sweep runs entirely un-journaled, the
-// response is identical, /readyz stays ready with a degraded detail, and
-// recovery restores full persistence.
+// TestChaosFsyncEIO: every fsync fails (a dying device), so not even the
+// first run record can be stored. The sweep runs entirely from memory,
+// the response is identical, /readyz stays ready with a degraded detail,
+// and recovery restores full persistence.
 func TestChaosFsyncEIO(t *testing.T) {
 	clean := cleanBaseline(t)
 	ff, s, url := faultedServer(t)
 
 	ff.FailOp(fsx.OpSync, fsx.ErrIO)
 	mustSweep(t, url, "degraded", clean)
-	if op, _, degraded := s.persist.detail(); !degraded || op != opJournalCreate {
-		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opJournalCreate)
+	if op, _, degraded := s.persist.detail(); !degraded || op != opRecordPut {
+		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opRecordPut)
 	}
 
 	// Degraded is a warning, not an outage: /readyz stays 200.
@@ -148,14 +174,16 @@ func TestChaosFsyncEIO(t *testing.T) {
 	}
 }
 
-// TestChaosRenameFail: the sweep executes and journals fine but the cache
-// entry's atomic rename fails. The response is still served identical;
-// only memoization is lost.
+// TestChaosRenameFail: the sweep executes and stores its run records fine
+// but the document's atomic rename fails. The response is still served
+// identical; only memoization is lost.
 func TestChaosRenameFail(t *testing.T) {
 	clean := cleanBaseline(t)
 	ff, s, url := faultedServer(t)
 
-	ff.FailOp(fsx.OpRename, fsx.ErrIO)
+	// One rename per run record, then the document's.
+	b, _ := bench.Get("rodinia/backprop")
+	ff.FailNth(fsx.OpRename, len(b.Info().Modes())+1, fsx.ErrIO)
 	mustSweep(t, url, "degraded", clean)
 	if op, _, degraded := s.persist.detail(); !degraded || op != opCachePut {
 		t.Fatalf("guard = (op=%q, degraded=%v), want degraded on %s", op, degraded, opCachePut)
@@ -170,33 +198,26 @@ func TestChaosRenameFail(t *testing.T) {
 	}
 }
 
-// TestQuarantineUniqueSuffixJournal: repeatedly corrupting one
-// fingerprint's journal must preserve every quarantined specimen.
-func TestQuarantineUniqueSuffixJournal(t *testing.T) {
+// TestQuarantineUniqueSuffixRecord: repeatedly corrupting one run
+// record must preserve every quarantined specimen.
+func TestQuarantineUniqueSuffixRecord(t *testing.T) {
 	s, _ := newTestServer(t, func(c *Config) { c.GCInterval = -1 })
-	var req SweepRequest
-	if err := json.Unmarshal([]byte(fastSweep), &req); err != nil {
-		t.Fatal(err)
-	}
-	p, err := resolveSweep(&req, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(s.journalDir, p.fingerprint+".journal")
+	b, _ := bench.Get("rodinia/backprop")
+	key := store.RunKey(harness.Spec{Bench: b, Mode: bench.ModeCopy, Size: bench.SizeSmall})
+	path := filepath.Join(s.store.Dir(), key+".entry")
 	for i := 0; i < 2; i++ {
-		if err := os.WriteFile(path, []byte("not a journal\n"), 0o644); err != nil {
+		if err := s.store.Put(key, []byte(`{"attempts": 1}`)); err != nil {
 			t.Fatal(err)
 		}
-		state, err := s.openJournal(path, p)
-		if err != nil {
-			t.Fatalf("openJournal after corruption %d: %v", i, err)
+		corruptFile(t, path)
+		if out := s.records().Get(key); out != nil {
+			t.Fatalf("corrupt record %d served", i)
 		}
-		state.Close()
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("first journal quarantine missing: %v", err)
+		t.Fatalf("first record quarantine missing: %v", err)
 	}
 	if _, err := os.Stat(path + ".corrupt.1"); err != nil {
-		t.Fatalf("second journal quarantine did not get a unique suffix: %v", err)
+		t.Fatalf("second record quarantine did not get a unique suffix: %v", err)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/journal"
+	"repro/internal/store"
 )
 
 // tmpOrphanAge guards the periodic tmp sweep: a temp file this old with
@@ -31,27 +31,20 @@ func (s *Server) gcLoop() {
 	}
 }
 
-// runGC is one garbage-collection pass over the state dir: remove
-// orphaned temp files, quarantines old enough to have been inspected,
-// and journals whose fingerprint's result is already cached; then
-// re-measure usage and evict LRU cache entries down to the byte quota.
+// runGC is one garbage-collection pass over the store dir: remove
+// orphaned temp files and quarantines old enough to have been inspected,
+// re-measure usage and evict LRU entries down to the byte quota, then
+// save the recency sidecar if any entry was touched since the last save.
 // GC is strictly advisory — every failure is counted and logged, none
 // flips degraded mode or fails a request.
 func (s *Server) runGC(startup bool) {
 	s.m.gcRuns.Inc()
-	s.gcDir(s.cache.dir, startup, false)
-	s.gcDir(s.journalDir, startup, true)
-	s.enforceQuota()
-}
-
-// gcDir sweeps one state-dir subdirectory. journals selects the extra
-// subsumed-journal rule.
-func (s *Server) gcDir(dir string, startup, journals bool) {
+	dir := s.store.Dir()
 	ents, err := s.fs.ReadDir(dir)
 	if err != nil {
 		s.cfg.Logf("gc: scan %s: %v", dir, err)
 		s.m.gcFailures.Inc()
-		return
+		ents = nil
 	}
 	now := time.Now()
 	for _, e := range ents {
@@ -66,7 +59,7 @@ func (s *Server) gcDir(dir string, startup, journals bool) {
 			// is an orphan; while serving, skip registered in-flight writes
 			// and anything too young to judge.
 			if !startup {
-				if s.cache.TmpInFlight(name) {
+				if s.store.TmpInFlight(name) {
 					continue
 				}
 				info, err := e.Info()
@@ -83,34 +76,10 @@ func (s *Server) gcDir(dir string, startup, journals bool) {
 				continue
 			}
 			s.gcRemove(path, s.m.gcRemovedCorrupt, "aged quarantine")
-		case journals && strings.HasSuffix(name, ".journal"):
-			// A journal whose fingerprint already has a cached result is
-			// fully subsumed: a repeat request hits the cache and never
-			// opens it (normally the handler removes it after a successful
-			// cache write; a crash between the two leaves this orphan).
-			fp := journalFingerprint(name)
-			if fp == "" || !s.cache.Has(fp) {
-				continue
-			}
-			s.gcRemove(path, s.m.gcRemovedJournal, "journal subsumed by cache entry")
 		}
 	}
-}
-
-// journalFingerprint extracts the fingerprint prefix from a journal file
-// name (<fp>.journal or <fp>-<requestid>.journal). Fingerprints are
-// sha256 hex, so the first 64 bytes are the whole key; anything shorter
-// is not ours and is left alone.
-func journalFingerprint(name string) string {
-	base := strings.TrimSuffix(name, ".journal")
-	if len(base) < 64 {
-		return ""
-	}
-	fp := base[:64]
-	if len(base) > 64 && base[64] != '-' {
-		return ""
-	}
-	return fp
+	s.enforceQuota()
+	s.store.SaveIndex()
 }
 
 // gcRemove removes one file, counting the outcome. A vanished file is
@@ -128,33 +97,29 @@ func (s *Server) gcRemove(path string, counter interface{ Inc() }, why string) {
 	s.cfg.Logf("gc: removed %s (%s)", path, why)
 }
 
-// stateUsage sums the state dir's file sizes (journals + cache, one
-// level deep — the layout has no nesting).
+// stateUsage sums the store dir's file sizes (one level deep — the
+// layout has no nesting).
 func (s *Server) stateUsage() int64 {
+	ents, err := s.fs.ReadDir(s.store.Dir())
+	if err != nil {
+		return 0
+	}
 	var total int64
-	for _, dir := range []string{s.journalDir, s.cache.dir} {
-		ents, err := s.fs.ReadDir(dir)
-		if err != nil {
+	for _, e := range ents {
+		if e.IsDir() {
 			continue
 		}
-		for _, e := range ents {
-			if e.IsDir() {
-				continue
-			}
-			if info, err := e.Info(); err == nil {
-				total += info.Size()
-			}
+		if info, err := e.Info(); err == nil {
+			total += info.Size()
 		}
 	}
 	return total
 }
 
-// enforceQuota publishes the state dir's size and, when a quota is set
-// and exceeded, evicts least-recently-used cache entries until the dir
-// fits. Only cache entries are evicted: a journal is checkpoint state
-// for an in-flight or interrupted sweep, and deleting one trades
-// durability for space — the wrong trade for a budget mechanism. An
-// evicted fingerprint simply recomputes (and re-caches) on next request.
+// enforceQuota publishes the store dir's size and, when a quota is set
+// and exceeded, evicts least-recently-used entries — run records and
+// documents alike — until the dir fits. An evicted key simply recomputes
+// (and is stored again) on next request.
 func (s *Server) enforceQuota() {
 	total := s.stateUsage()
 	s.m.stateBytes.Set(total)
@@ -162,25 +127,24 @@ func (s *Server) enforceQuota() {
 		return
 	}
 	evicted := 0
-	for _, ent := range s.cache.LRU() {
+	for _, ent := range s.store.LRU() {
 		if total <= s.cfg.StateQuota {
 			break
 		}
-		if err := s.cache.Remove(ent.key); err != nil {
-			s.cfg.Logf("gc: evict %s: %v", ent.key, err)
+		if err := s.store.Remove(ent.Key); err != nil {
+			s.cfg.Logf("gc: evict %s: %v", ent.Key, err)
 			s.m.gcFailures.Inc()
 			continue
 		}
 		s.m.evictedEntries.Inc()
-		total -= ent.size
+		total -= ent.Size
 		evicted++
-		s.cfg.Logf("gc: evicted cache entry %s (%d bytes, LRU) for quota", short(ent.key), ent.size)
+		s.cfg.Logf("gc: evicted store entry %s (%d bytes, LRU) for quota", short(ent.Key), ent.Size)
 	}
 	if evicted > 0 {
-		if err := journal.SyncDirOn(s.fs, s.cache.dir); err != nil {
+		if err := store.SyncDir(s.fs, s.store.Dir()); err != nil {
 			s.cfg.Logf("gc: %v", err)
 		}
-		s.cache.SaveIndex()
 	}
 	s.m.stateBytes.Set(s.stateUsage())
 }

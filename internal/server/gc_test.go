@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/store"
 )
 
 // fp64 fabricates a distinct fingerprint-shaped (64 hex chars) cache key.
@@ -34,35 +35,37 @@ func corruptFile(t *testing.T, path string) {
 // must preserve both specimens — the second quarantine picks .corrupt.1
 // instead of clobbering .corrupt.
 func TestQuarantineUniqueSuffixCache(t *testing.T) {
-	c, err := NewCache(t.TempDir(), t.Logf)
+	dir := t.TempDir()
+	c, err := store.Open(nil, dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := fp64(0xaa)
+	path := filepath.Join(dir, key+".entry")
 	first := []byte("first body\n")
 	if err := c.Put(key, first); err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, c.path(key))
+	corruptFile(t, path)
 	if _, ok := c.Get(key); ok {
 		t.Fatal("corrupt entry served")
 	}
-	if _, err := os.Stat(c.path(key) + ".corrupt"); err != nil {
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("first quarantine missing: %v", err)
 	}
 
 	if err := c.Put(key, []byte("second body\n")); err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, c.path(key))
+	corruptFile(t, path)
 	if _, ok := c.Get(key); ok {
 		t.Fatal("corrupt entry served")
 	}
-	if _, err := os.Stat(c.path(key) + ".corrupt.1"); err != nil {
+	if _, err := os.Stat(path + ".corrupt.1"); err != nil {
 		t.Fatalf("second quarantine did not get a unique suffix: %v", err)
 	}
 	// The first specimen survived the second quarantine.
-	data, err := os.ReadFile(c.path(key) + ".corrupt")
+	data, err := os.ReadFile(path + ".corrupt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestQuarantineUniqueSuffixCache(t *testing.T) {
 // sidecar — no filesystem atimes involved.
 func TestQuotaLRUOrderAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCache(dir, t.Logf)
+	c, err := store.Open(nil, dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +94,8 @@ func TestQuotaLRUOrderAcrossRestart(t *testing.T) {
 	}
 	c.SaveIndex()
 
-	// Restart: a fresh Cache over the same dir must reconstruct the order.
-	c2, err := NewCache(dir, t.Logf)
+	// Restart: a fresh store over the same dir must reconstruct the order.
+	c2, err := store.Open(nil, dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +103,9 @@ func TestQuotaLRUOrderAcrossRestart(t *testing.T) {
 	if len(order) != 3 {
 		t.Fatalf("LRU has %d entries, want 3", len(order))
 	}
-	if order[0].key != b || order[1].key != z || order[2].key != a {
+	if order[0].Key != b || order[1].Key != z || order[2].Key != a {
 		t.Fatalf("LRU order = [%s %s %s], want [b c a] = [%s %s %s]",
-			short(order[0].key), short(order[1].key), short(order[2].key), short(b), short(z), short(a))
+			short(order[0].Key), short(order[1].Key), short(order[2].Key), short(b), short(z), short(a))
 	}
 }
 
@@ -120,11 +123,11 @@ func TestQuotaEvictionLRU(t *testing.T) {
 	})
 	k1, k2, k3 := fp64(0x01), fp64(0x02), fp64(0x03)
 	for _, k := range []string{k1, k2, k3} {
-		if err := s.cache.Put(k, body); err != nil {
+		if err := s.store.Put(k, body); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := s.cache.Get(k1); !ok { // k1 most recent; k2 is now LRU
+	if _, ok := s.store.Get(k1); !ok { // k1 most recent; k2 is now LRU
 		t.Fatal("get k1")
 	}
 
@@ -133,10 +136,14 @@ func TestQuotaEvictionLRU(t *testing.T) {
 	if s.stateUsage() > quota {
 		t.Fatalf("state dir is %d bytes after GC, quota is %d", s.stateUsage(), quota)
 	}
-	if s.cache.Has(k2) {
+	stored := func(k string) bool {
+		_, err := os.Stat(filepath.Join(s.store.Dir(), k+".entry"))
+		return err == nil
+	}
+	if stored(k2) {
 		t.Fatal("LRU entry k2 survived eviction")
 	}
-	if !s.cache.Has(k1) || !s.cache.Has(k3) {
+	if !stored(k1) || !stored(k3) {
 		t.Fatal("eviction removed more than the LRU entry")
 	}
 	snap := reg.Snapshot()
@@ -149,10 +156,10 @@ func TestQuotaEvictionLRU(t *testing.T) {
 
 	// The evicted fingerprint simply recomputes: a fresh Put works and a
 	// Get verifies it.
-	if err := s.cache.Put(k2, body); err != nil {
+	if err := s.store.Put(k2, body); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.cache.Get(k2); !ok || !bytes.Equal(got, body) {
+	if got, ok := s.store.Get(k2); !ok || !bytes.Equal(got, body) {
 		t.Fatal("evicted fingerprint did not recompute cleanly")
 	}
 }
@@ -216,40 +223,5 @@ func TestGCAgedCorrupt(t *testing.T) {
 	}
 	if got := reg.Snapshot()[`hetsimd_gc_removed_total{kind="corrupt"}`]; got != 1 {
 		t.Fatalf(`gc_removed_total{kind="corrupt"} = %v, want 1`, got)
-	}
-}
-
-// TestGCSubsumedJournal: a journal whose fingerprint already has a cache
-// entry is dead weight (a crash between cache write and journal removal)
-// and is reclaimed; journals for uncached fingerprints are checkpoint
-// state and must survive.
-func TestGCSubsumedJournal(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s, _ := newTestServer(t, func(c *Config) {
-		c.Metrics = reg
-		c.GCInterval = -1
-	})
-	cached, uncached := fp64(0x31), fp64(0x32)
-	if err := s.cache.Put(cached, []byte("result\n")); err != nil {
-		t.Fatal(err)
-	}
-	subsumed := filepath.Join(s.journalDir, cached+"-req1.journal")
-	live := filepath.Join(s.journalDir, uncached+"-req2.journal")
-	for _, p := range []string{subsumed, live} {
-		if err := os.WriteFile(p, []byte("journal bytes\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s.runGC(false)
-
-	if _, err := os.Stat(subsumed); !os.IsNotExist(err) {
-		t.Fatalf("subsumed journal survived GC (stat err=%v)", err)
-	}
-	if _, err := os.Stat(live); err != nil {
-		t.Fatalf("live journal was reclaimed: %v", err)
-	}
-	if got := reg.Snapshot()[`hetsimd_gc_removed_total{kind="journal"}`]; got != 1 {
-		t.Fatalf(`gc_removed_total{kind="journal"} = %v, want 1`, got)
 	}
 }

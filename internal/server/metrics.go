@@ -27,25 +27,23 @@ type serverMetrics struct {
 	inFlight              metrics.Gauge // admitted weight = concurrent sims
 	waiting               metrics.Gauge
 
-	// Result cache and checkpoint journals.
-	cacheHits          metrics.Counter
-	cacheMisses        metrics.Counter
-	cacheQuarantined   metrics.Counter
-	journalQuarantined metrics.Counter
-	sweepsResumed      metrics.Counter // requests that picked up a journal
-	resumedRuns        metrics.Counter // runs replayed instead of executed
-	coalesced          metrics.Counter // requests served by another's result
+	// The run store: document hits and misses, quarantines, reused runs.
+	cacheHits        metrics.Counter
+	cacheMisses      metrics.Counter
+	cacheQuarantined metrics.Counter
+	sweepsResumed    metrics.Counter // sweeps that reused stored runs
+	resumedRuns      metrics.Counter // runs reused instead of executed
+	coalesced        metrics.Counter // requests served by another's result
 
 	// Streaming: clients too slow to drain their own progress stream.
 	rejectedSlowClient metrics.Counter
 
 	// Persistence health: the degraded (no-persistence) mode switch, the
 	// failures that flipped it (by failing operation), and recoveries.
-	persistDegraded       metrics.Gauge // 1 while degraded, else 0
-	degradedJournalCreate metrics.Counter
-	degradedJournalAppend metrics.Counter
-	degradedCachePut      metrics.Counter
-	persistRecovered      metrics.Counter
+	persistDegraded   metrics.Gauge // 1 while degraded, else 0
+	degradedRecordPut metrics.Counter
+	degradedCachePut  metrics.Counter
+	persistRecovered  metrics.Counter
 
 	// State-dir budgeting: live usage, quota evictions, GC activity.
 	stateBytes       metrics.Gauge
@@ -54,7 +52,6 @@ type serverMetrics struct {
 	gcFailures       metrics.Counter
 	gcRemovedTmp     metrics.Counter
 	gcRemovedCorrupt metrics.Counter
-	gcRemovedJournal metrics.Counter
 }
 
 func newServerMetrics(r *metrics.Registry) *serverMetrics {
@@ -65,7 +62,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		"Persistence failures that flipped (or kept) the daemon in degraded no-persistence mode, by failing operation.",
 		"op")
 	removed := r.CounterVec("hetsimd_gc_removed_total",
-		"State-dir files removed by garbage collection, by kind (tmp=orphaned temp files, corrupt=aged quarantines, journal=journals subsumed by a cache entry).",
+		"State-dir files removed by garbage collection, by kind (tmp=orphaned temp files, corrupt=aged quarantines).",
 		"kind")
 	evicted := r.CounterVec("hetsimd_evicted_total",
 		"Files evicted to keep the state dir under its byte quota, by kind.",
@@ -88,29 +85,26 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		waiting: r.Gauge("hetsimd_gate_waiting",
 			"Requests currently queued in the bounded admission line."),
 		cacheHits: r.Counter("hetsimd_cache_hits_total",
-			"Requests served from the verified result cache."),
+			"Requests whose response document was already in the verified run store."),
 		cacheMisses: r.Counter("hetsimd_cache_misses_total",
-			"Requests that executed because no valid cache entry existed."),
+			"Requests that assembled their response because no valid stored document existed."),
 		cacheQuarantined: r.Counter("hetsimd_cache_quarantined_total",
-			"Corrupt cache entries renamed aside and recomputed."),
-		journalQuarantined: r.Counter("hetsimd_journal_quarantined_total",
-			"Corrupt or mismatched checkpoint journals renamed aside."),
+			"Corrupt store entries (run records or documents) renamed aside and recomputed."),
 		sweepsResumed: r.Counter("hetsimd_sweeps_resumed_total",
-			"Sweep requests that resumed a checkpoint journal from an earlier interrupted request."),
+			"Sweep requests that reused runs already in the run store (an interrupted sweep resuming, or runs an earlier request completed)."),
 		resumedRuns: r.Counter("hetsimd_resumed_runs_total",
-			"Runs replayed from checkpoint journals instead of executed."),
+			"Runs reused from the run store instead of executed."),
 		coalesced: r.Counter("hetsimd_coalesced_total",
 			"Requests that waited on an identical in-flight request and were served its result."),
 		rejectedSlowClient: rejected.With("slow_client"),
 		persistDegraded: r.Gauge("hetsimd_persist_degraded",
-			"1 while the daemon is in degraded no-persistence mode (serving from memory, not journaling or caching), else 0."),
-		degradedJournalCreate: degraded.With("journal_create"),
-		degradedJournalAppend: degraded.With("journal_append"),
-		degradedCachePut:      degraded.With("cache_put"),
+			"1 while the daemon is in degraded no-persistence mode (serving from memory, not storing runs or documents), else 0."),
+		degradedRecordPut: degraded.With("record_put"),
+		degradedCachePut:  degraded.With("cache_put"),
 		persistRecovered: r.Counter("hetsimd_persist_recovered_total",
 			"Times the persistence probe succeeded and the daemon left degraded mode."),
 		stateBytes: r.Gauge("hetsimd_state_bytes",
-			"Total bytes in the state dir (journals + cache) at the last GC or quota check."),
+			"Total bytes in the run store dir at the last GC or quota check."),
 		evictedEntries: evicted.With("entry"),
 		gcRuns: r.Counter("hetsimd_gc_runs_total",
 			"State-dir garbage-collection passes completed (startup plus periodic)."),
@@ -118,6 +112,5 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 			"Individual removals or evictions the garbage collector attempted and could not complete."),
 		gcRemovedTmp:     removed.With("tmp"),
 		gcRemovedCorrupt: removed.With("corrupt"),
-		gcRemovedJournal: removed.With("journal"),
 	}
 }

@@ -6,16 +6,15 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/journal"
 	"repro/internal/metrics"
+	"repro/internal/store"
 )
 
 // The persistence operations that can flip the daemon into degraded mode.
 // Each is a label value of hetsimd_persist_degraded_total.
 const (
-	opJournalCreate = "journal_create" // opening/creating a checkpoint journal
-	opJournalAppend = "journal_append" // appending a completed run mid-sweep
-	opCachePut      = "cache_put"      // memoizing a completed response
+	opRecordPut = "record_put" // storing a completed run's record
+	opCachePut  = "cache_put"  // memoizing a completed response document
 )
 
 // persistGuard is the daemon's degraded-mode switch. The design rule it
@@ -24,16 +23,16 @@ const (
 // memory, the response is served correct and byte-identical to a healthy
 // run (the documents carry no persistence state), and only the
 // X-Hetsimd-Persist header, /readyz detail, and metrics tell the operator
-// the daemon is running without a safety net: no checkpoint journals, no
-// result memoization, so a crash loses in-flight progress and repeated
-// requests recompute.
+// the daemon is running without a safety net: no run records, no response
+// memoization, so a crash loses in-flight progress and repeated requests
+// recompute.
 //
-// While degraded, the daemon stops attempting journal creates and cache
-// writes (one failure is a signal, a failure per request is log spam and
+// While degraded, the daemon stops using run records and stops writing
+// documents (one failure is a signal, a failure per request is log spam and
 // wasted syscalls on a dead disk) and a single background probe
 // periodically exercises the state dir — write, fsync, remove — with
 // exponential backoff. The first successful probe re-enables persistence.
-// Cache reads continue throughout: serving a verified entry that is
+// Document reads continue throughout: serving a verified entry that is
 // already on disk needs no writes.
 type persistGuard struct {
 	s *Server
@@ -69,14 +68,10 @@ func (g *persistGuard) detail() (op string, err error, degraded bool) {
 
 // counterFor maps an operation to its pre-resolved failure counter.
 func (g *persistGuard) counterFor(op string) metrics.Counter {
-	switch op {
-	case opJournalCreate:
-		return g.s.m.degradedJournalCreate
-	case opJournalAppend:
-		return g.s.m.degradedJournalAppend
-	default:
-		return g.s.m.degradedCachePut
+	if op == opRecordPut {
+		return g.s.m.degradedRecordPut
 	}
+	return g.s.m.degradedCachePut
 }
 
 // degrade records a persistence failure and enters (or stays in) degraded
@@ -132,14 +127,14 @@ func (g *persistGuard) probeLoop() {
 		g.mu.Unlock()
 		g.s.m.persistDegraded.Set(0)
 		g.s.m.persistRecovered.Inc()
-		g.s.cfg.Logf("persistence recovered: state dir writable again, journaling and caching re-enabled")
+		g.s.cfg.Logf("persistence recovered: state dir writable again, run records and documents re-enabled")
 		return
 	}
 }
 
 // probe exercises the full durable-write path the daemon depends on:
 // create, write, fsync, close, atomic rename, remove, directory fsync —
-// the same sequence a journal create or cache Put performs, through the
+// the same sequence a store Put performs, through the
 // same filesystem seam, so any fault that would break real persistence
 // also holds the daemon degraded.
 func (g *persistGuard) probe() error {
@@ -166,5 +161,5 @@ func (g *persistGuard) probe() error {
 	if err := g.s.fs.Remove(dst); err != nil {
 		return err
 	}
-	return journal.SyncDirOn(g.s.fs, g.s.cfg.StateDir)
+	return store.SyncDir(g.s.fs, g.s.cfg.StateDir)
 }

@@ -12,16 +12,17 @@ import (
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/journal"
+	"repro/internal/store"
 )
 
 // SweepRequest is the JSON body of POST /v1/sweep: which benchmarks to
 // sweep and under what budgets. Everything is optional; the zero request
 // sweeps every registered benchmark at the small size with no budgets.
 // Fields that change simulation results (benchmarks, size, budgets, fault
-// plan, stall) are part of the request fingerprint; fields that only
-// change scheduling (jobs) or request lifetime (deadline) are not, so
-// the same experiment always maps to the same cache entry and journal.
+// plan, stall) are part of the request fingerprint and of every run's
+// key; fields that only change scheduling (jobs, parallel, backoff,
+// jitter) or request lifetime (deadline) are not, so the same experiment
+// always maps to the same stored document and runs.
 type SweepRequest struct {
 	// Benchmarks restricts the sweep to these full names ("suite/name");
 	// empty sweeps every registered benchmark.
@@ -50,10 +51,10 @@ type SweepRequest struct {
 	// (harness.Spec.Parallel). 0 and 1 simulate serially; higher values
 	// pipeline trace generation inside every run. Results are
 	// byte-identical for every value, so — like jobs — it is excluded
-	// from the fingerprint.
+	// from every key.
 	Parallel int `json:"parallel,omitempty"`
 	// BackoffMs and Jitter space retry attempts (see harness.Spec);
-	// timing-only, so they are excluded from the fingerprint.
+	// timing-only, so they are excluded from every key.
 	BackoffMs int64   `json:"backoff_ms,omitempty"`
 	Jitter    float64 `json:"jitter,omitempty"`
 }
@@ -233,8 +234,8 @@ func resolveSweep(req *SweepRequest, maxJobs int) (*sweepParams, error) {
 		}
 	}
 	// The fingerprint covers exactly what determines results; jobs,
-	// deadline, and retry spacing are excluded by the same rule the CLI
-	// sweeps use for -jobs (results are identical for every value).
+	// parallel, deadline, and retry spacing are excluded by the same rule
+	// the run keys follow (results are identical for every value).
 	p.fingerprint = experiments.SweepFingerprint(p.size, p.opts)
 	return p, nil
 }
@@ -309,15 +310,16 @@ func resolveRun(req *RunRequest) (*runParams, error) {
 	return p, nil
 }
 
-// runFingerprint hashes everything that determines a single run's result,
-// mirroring the sweep fingerprint's exclusion of timing-only knobs.
+// runFingerprint is the key of a single run's response document. It
+// hashes the same result-determining inputs as the run's record key
+// (store.RunKey) under a different kind label and without the key prefix,
+// so the document and the record it is built from never share a key.
 func runFingerprint(benchName string, mode bench.Mode, size bench.Size,
 	fault *harness.FaultPlan, budget harness.Budget, stall time.Duration) string {
-	var fp journal.Fingerprint
-	fp.Add("version", strconv.Itoa(journal.Version))
+	var fp store.Fingerprint
+	fp.Add("version", store.Version)
 	fp.Add("kind", "run")
-	fp.Add("discrete", fmt.Sprintf("%+v", config.DiscreteGPU()))
-	fp.Add("hetero", fmt.Sprintf("%+v", config.HeteroProcessor()))
+	fp.AddSystems()
 	fp.Add("bench", benchName)
 	fp.Add("mode", mode.String())
 	fp.Add("size", size.String())

@@ -10,9 +10,9 @@ import (
 
 // HeaderRequestID is the correlation-ID header: accepted from the client,
 // generated when absent, and echoed on every response. The same ID is
-// threaded into the access log line, the sweep's progress events, the
-// checkpoint journal's filename, and the harness trace spans — one string
-// links everything one request produced.
+// threaded into the access log line, the sweep's progress events, and
+// the harness trace spans — one string links everything one request
+// produced. It is never part of a store key.
 const HeaderRequestID = "X-Request-Id"
 
 // maxRequestIDLen caps accepted IDs; longer client values are truncated.
@@ -42,8 +42,8 @@ func ensureRequestID(r *http.Request) string {
 }
 
 // sanitizeRequestID filters a client-supplied ID down to [A-Za-z0-9._-]
-// and at most maxRequestIDLen bytes. The ID lands in journal filenames,
-// log lines, and trace args, so anything outside that conservative set is
+// and at most maxRequestIDLen bytes. The ID lands in log lines, stream
+// events, and trace args, so anything outside that conservative set is
 // dropped rather than escaped.
 func sanitizeRequestID(s string) string {
 	var b strings.Builder

@@ -14,16 +14,17 @@
 //     request with a structured error, never the process), per-request
 //     deadlines cancel through the engines' periodic checks, and a
 //     handler-level recover turns server bugs into 500s.
-//   - Durability: each sweep request checkpoints into its own
-//     fingerprint-keyed journal, so a killed daemon resumes rather than
-//     restarts; completed responses are memoized in a CRC-verified
-//     content-addressed cache, so a repeated request is a disk read.
-//     Corrupt entries quarantine and recompute — the store self-heals
-//     instead of refusing service.
+//   - Durability: one CRC-verified content-addressed store (internal/store)
+//     holds every completed run under its run key and every completed
+//     response under its request fingerprint. A run is its own
+//     checkpoint, so a killed daemon resumes rather than restarts, and any
+//     request reuses the runs an earlier run or sweep already simulated;
+//     a repeated request is a disk read. Corrupt entries quarantine and
+//     recompute — the store self-heals instead of refusing service.
 //   - Graceful drain: the Drain context (first SIGTERM) stops admission
 //     and stops dispatching new runs inside in-flight sweeps; what has
-//     completed is journaled and the client is told to resubmit. The
-//     Hard context (second signal) aborts in-flight runs too.
+//     completed is stored and the client is told to resubmit. The Hard
+//     context (second signal) aborts in-flight runs too.
 package server
 
 import (
@@ -34,13 +35,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,22 +46,20 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fsx"
 	"repro/internal/harness"
-	"repro/internal/journal"
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
-// JournalKind stamps the server's per-request sweep journals.
-const JournalKind = "hetsimd"
-
 // Response headers the daemon sets; tests and operators key off them.
 const (
-	// HeaderCache reports whether the response body came from the result
-	// cache ("hit") or a fresh execution ("miss").
+	// HeaderCache reports whether this request's response document was
+	// already stored ("hit") or had to be assembled ("miss"). A miss may
+	// still simulate nothing when every run it needs is stored.
 	HeaderCache = "X-Hetsimd-Cache"
-	// HeaderResumed reports how many of a sweep's runs were replayed
-	// from its checkpoint journal instead of executed (a restart
-	// resuming interrupted work).
+	// HeaderResumed reports how many of a sweep's runs were reused from
+	// the run store instead of simulated (a restart resuming interrupted
+	// work, or runs an earlier request already completed).
 	HeaderResumed = "X-Hetsimd-Resumed"
 	// HeaderWallMs reports the handler's wall-clock cost in ms. The
 	// response bodies themselves carry no wall times — those are scrubbed
@@ -72,16 +68,15 @@ const (
 	HeaderWallMs = "X-Hetsimd-Wall-Ms"
 	// HeaderPersist reports the daemon's persistence health for this
 	// response: "ok", or "degraded" when a state-dir failure has the
-	// daemon serving correct results from memory without checkpointing
-	// or memoizing them (see persistGuard).
+	// daemon serving correct results from memory without storing them
+	// (see persistGuard).
 	HeaderPersist = "X-Hetsimd-Persist"
 )
 
 // Config parameterizes a Server.
 type Config struct {
-	// StateDir roots the daemon's durable state: StateDir/journals for
-	// per-request checkpoint journals, StateDir/cache for the result
-	// cache. Required.
+	// StateDir roots the daemon's durable state: StateDir/cache is the
+	// run store (run records and response documents). Required.
 	StateDir string
 	// Pool caps concurrently executing simulations across all requests
 	// (0 = GOMAXPROCS). This is the hard bound admission enforces.
@@ -93,7 +88,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// Drain, when done, puts the server into drain: readyz flips to 503,
 	// new requests are rejected, in-flight sweeps stop dispatching runs
-	// and checkpoint what completed. Nil = never drains.
+	// and store what completed. Nil = never drains.
 	Drain context.Context
 	// Hard, when done, aborts in-flight runs through engine cancellation
 	// (the second-signal stage). Nil = never.
@@ -105,22 +100,22 @@ type Config struct {
 	Log *slog.Logger
 	// Metrics is the registry the server's families register in and the
 	// one GET /metrics serves. Nil means metrics.Default — the registry
-	// the harness and journal layers already feed, so one scrape covers
+	// the harness layer already feeds, so one scrape covers
 	// HTTP, admission, cache, and run-lifecycle counters together.
 	Metrics *metrics.Registry
 	// FS is the filesystem every persistence operation goes through —
-	// journals, the result cache, GC, the recovery probe. Nil means the
+	// the run store, GC, the recovery probe. Nil means the
 	// real OS filesystem; the chaos tests inject an *fsx.Fault here to
 	// script disk failures underneath live requests.
 	FS fsx.FS
 	// StateQuota caps the state dir's total size in bytes. When a pass of
 	// the garbage collector (or a completed request) finds the dir over
-	// budget, least-recently-used cache entries are evicted until it
-	// fits; evicted fingerprints recompute on next request. 0 = no limit.
+	// budget, least-recently-used store entries are evicted until it
+	// fits; evicted keys recompute on next request. 0 = no limit.
 	StateQuota int64
 	// GCInterval spaces the periodic state-dir garbage-collection passes
-	// (orphaned temp files, aged quarantines, subsumed journals, quota
-	// enforcement). 0 = every minute; negative disables the periodic
+	// (orphaned temp files, aged quarantines, quota enforcement, the
+	// recency sidecar). 0 = every minute; negative disables the periodic
 	// loop (the startup pass still runs).
 	GCInterval time.Duration
 	// CorruptAge is how long quarantined *.corrupt files are kept for
@@ -141,14 +136,18 @@ type Config struct {
 // Server is the sweep-as-a-service request layer. Build with New, mount
 // with Handler.
 type Server struct {
-	cfg        Config
-	fs         fsx.FS
-	gate       *Gate
-	cache      *Cache
-	journalDir string
-	locks      sync.Map // fingerprint -> *sync.Mutex (sweep singleflight)
-	m          *serverMetrics
-	persist    *persistGuard
+	cfg     Config
+	fs      fsx.FS
+	gate    *Gate
+	store   *store.Store
+	m       *serverMetrics
+	persist *persistGuard
+
+	// locks holds one singleflight mutex per sweep fingerprint in use,
+	// reference-counted so the map holds only fingerprints some request
+	// is executing or waiting on.
+	locksMu sync.Mutex
+	locks   map[string]*keyLock
 
 	// Execution seams, overridden by tests to substitute deterministic
 	// stand-ins for the simulator.
@@ -200,36 +199,34 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	journalDir := filepath.Join(cfg.StateDir, "journals")
-	if err := cfg.FS.MkdirAll(journalDir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: state dir: %w", err)
-	}
-	cache, err := NewCacheFS(cfg.FS, filepath.Join(cfg.StateDir, "cache"), cfg.Logf)
+	st, err := store.Open(cfg.FS, filepath.Join(cfg.StateDir, "cache"), cfg.Logf)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	m := newServerMetrics(cfg.Metrics)
-	cache.onQuarantine = m.cacheQuarantined.Inc
+	st.OnQuarantine = m.cacheQuarantined.Inc
 	gate := NewGate(cfg.Pool, cfg.Queue)
 	gate.Instrument(m.inFlight, m.waiting)
 	s := &Server{
-		cfg:        cfg,
-		fs:         cfg.FS,
-		gate:       gate,
-		cache:      cache,
-		journalDir: journalDir,
-		m:          m,
-		runSweep:   experiments.RunSweep,
-		runOne:     harness.Run,
+		cfg:      cfg,
+		fs:       cfg.FS,
+		gate:     gate,
+		store:    st,
+		locks:    map[string]*keyLock{},
+		m:        m,
+		runSweep: experiments.RunSweep,
+		runOne:   harness.Run,
 	}
 	s.persist = &persistGuard{s: s}
 	// Startup GC: reclaim what a previous process's crash left behind
-	// (half-written temp files, journals already subsumed by cache
-	// entries) before serving, then keep the dir tidy periodically.
+	// (half-written temp files) before serving, then keep the dir tidy
+	// periodically. The recency sidecar is saved once more when drain
+	// begins, so a restart keeps the accesses since the last GC pass.
 	s.runGC(true)
 	if cfg.GCInterval > 0 {
 		go s.gcLoop()
 	}
+	context.AfterFunc(cfg.Drain, st.SaveIndex)
 	return s, nil
 }
 
@@ -393,7 +390,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"draining":      s.draining(),
 		"persist":       s.persist.status(),
 		"gate":          s.gate.Stats(),
-		"cache_entries": s.cache.Len(),
+		"cache_entries": s.store.Len(),
 		"state_bytes":   s.m.stateBytes.Value(),
 	})
 }
@@ -556,71 +553,60 @@ func (s *Server) serveDoc(w http.ResponseWriter, st *streamer, body []byte, cach
 	w.Write(body)
 }
 
-// fpLock returns the singleflight mutex for a fingerprint: concurrent
-// identical sweep requests must not share one journal file, so the
-// second waits and then (typically) finds the first's cache entry.
-func (s *Server) fpLock(fp string) *sync.Mutex {
-	v, _ := s.locks.LoadOrStore(fp, &sync.Mutex{})
-	return v.(*sync.Mutex)
+// keyLock is one fingerprint's singleflight mutex and its holder count.
+type keyLock struct {
+	mu   sync.Mutex
+	refs int // requests holding or waiting on mu
 }
 
-// journalPath resolves a sweep's checkpoint journal file. A journal left
-// by an earlier interrupted request for the same fingerprint wins — the
-// glob matches any request's ID suffix (and the legacy bare name), and a
-// fingerprint is a fixed-length hash so one fingerprint's pattern can
-// never match another's files. A fresh journal is named with the creating
-// request's correlation ID, so `ls STATE/journals` answers which request
-// left which checkpoint. Callers hold the fingerprint's singleflight
-// lock, so at most one journal per fingerprint exists at a time.
-func (s *Server) journalPath(fp, requestID string) string {
-	var matches []string
-	if ents, err := s.fs.ReadDir(s.journalDir); err == nil {
-		for _, e := range ents {
-			n := e.Name()
-			if strings.HasPrefix(n, fp) && strings.HasSuffix(n, ".journal") {
-				matches = append(matches, n)
-			}
+// lockKey takes the singleflight lock for a sweep fingerprint: concurrent
+// identical sweep requests must not both simulate, so the second waits
+// and then (typically) finds the first's stored document. The returned
+// func unlocks and drops the entry once its last holder is done.
+func (s *Server) lockKey(fp string) (unlock func()) {
+	s.locksMu.Lock()
+	l := s.locks[fp]
+	if l == nil {
+		l = &keyLock{}
+		s.locks[fp] = l
+	}
+	l.refs++
+	s.locksMu.Unlock()
+	l.mu.Lock()
+	return func() {
+		l.mu.Unlock()
+		s.locksMu.Lock()
+		if l.refs--; l.refs == 0 {
+			delete(s.locks, fp)
 		}
+		s.locksMu.Unlock()
 	}
-	if len(matches) > 0 {
-		sort.Strings(matches)
-		return filepath.Join(s.journalDir, matches[0])
-	}
-	name := fp + ".journal"
-	if requestID != "" {
-		name = fp + "-" + requestID + ".journal"
-	}
-	return filepath.Join(s.journalDir, name)
 }
 
-// openJournal opens (resume semantics) the fingerprint-keyed checkpoint
-// journal for a sweep request. A corrupt or mismatched journal is
-// quarantined — renamed aside and logged, like a corrupt cache entry —
-// and a fresh one begins: the robust daemon recomputes, it never wedges a
-// fingerprint on damaged state.
-func (s *Server) openJournal(path string, p *sweepParams) (*harness.RunLog, error) {
-	state, err := experiments.OpenStateAtFS(s.fs, path, JournalKind, true, p.size, p.opts)
-	if err == nil {
-		return state, nil
+// records is the run-record view a request reads and writes through, or
+// nil while persistence is degraded: a nil view ignores every call, so
+// the request runs entirely from memory and its response is identical.
+func (s *Server) records() *store.Records {
+	if !s.persist.ok() {
+		return nil
 	}
-	if errors.Is(err, journal.ErrCorrupt) || errors.Is(err, journal.ErrFingerprint) {
-		s.m.journalQuarantined.Inc()
-		// The destination is unique (.corrupt, .corrupt.1, ...): repeated
-		// damage to one fingerprint keeps every specimen instead of
-		// overwriting the previous one.
-		q := uniqueQuarantinePath(s.fs, path)
-		if rerr := s.fs.Rename(path, q); rerr != nil {
-			return nil, fmt.Errorf("quarantine %s: %w (journal was bad: %v)", path, rerr, err)
-		}
-		now := time.Now()
-		s.fs.Chtimes(q, now, now) // age from quarantine time, for GC
-		if serr := journal.SyncDirOn(s.fs, s.journalDir); serr != nil {
-			s.cfg.Logf("journal quarantine: %v", serr)
-		}
-		s.cfg.Logf("quarantined bad journal %s -> %s: %v", path, q, err)
-		return experiments.OpenStateAtFS(s.fs, path, JournalKind, false, p.size, p.opts)
+	return s.store.Records()
+}
+
+// storeDoc memoizes a completed response document under its request
+// fingerprint. The store is an accelerator here: failure to memoize
+// degrades persistence but never fails the request.
+func (s *Server) storeDoc(fp string, body []byte) {
+	if !s.persist.ok() {
+		return
 	}
-	return nil, err
+	if err := s.store.Put(fp, body); err != nil {
+		s.persist.degrade(opCachePut, err)
+		return
+	}
+	if s.cfg.StateQuota > 0 {
+		s.enforceQuota()
+	}
 }
 
 // interruption classifies why a sweep came back incomplete: canceled
@@ -703,76 +689,60 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		cancel()
 	})
 
-	// Fast path: the fingerprint's result is already on disk, verified.
-	if body, ok := s.cache.Get(p.fingerprint); ok {
+	// Fast path: the fingerprint's document is already stored, verified.
+	if body, ok := s.store.Get(p.fingerprint); ok {
 		s.serveDoc(w, st, body, "hit", time.Since(t0))
 		return
 	}
 	// One executor per fingerprint: a concurrent identical request waits
-	// here, then usually leaves through the cache re-check — the
+	// here, then usually leaves through the store re-check — the
 	// singleflight coalesce the counter below records.
-	lock := s.fpLock(p.fingerprint)
-	lock.Lock()
-	defer lock.Unlock()
-	if body, ok := s.cache.Get(p.fingerprint); ok {
+	unlock := s.lockKey(p.fingerprint)
+	defer unlock()
+	if body, ok := s.store.Get(p.fingerprint); ok {
 		s.m.coalesced.Inc()
 		s.serveDoc(w, st, body, "hit", time.Since(t0))
 		return
 	}
 
-	// The journal is a safety net, not a prerequisite: if persistence is
-	// (or goes) degraded, the sweep runs entirely from memory — a nil
-	// RunLog ignores every call — and the response is identical. A
-	// persistence failure is never a request failure.
-	var state *harness.RunLog
-	jpath := s.journalPath(p.fingerprint, requestID)
-	if s.persist.ok() {
-		j, jerr := s.openJournal(jpath, p)
-		if jerr != nil {
-			s.persist.degrade(opJournalCreate, jerr)
-		} else {
-			state = j
-		}
-	}
-	resumed := state.ReplayedCount()
-	if resumed > 0 {
-		s.m.sweepsResumed.Inc()
-		s.m.resumedRuns.Add(uint64(resumed))
-		s.cfg.Logf("sweep %s: resuming, %d runs already journaled", short(p.fingerprint), resumed)
-	}
-
 	// Dispatch stops on drain or request end; in-flight runs abort on
 	// the hard stage or request end. Between the two, a drained request
-	// finishes (and journals) what it started.
+	// finishes (and stores) what it started.
 	dispatchCtx, stopDispatch := mergeCtx(reqCtx, s.cfg.Drain)
 	defer stopDispatch()
 	runCtx, stopRun := mergeCtx(reqCtx, s.cfg.Hard)
 	defer stopRun()
 
 	opts := p.opts
-	opts.State = state
+	opts.Store = s.records()
 	opts.Ctx, opts.RunCtx = dispatchCtx, runCtx
 	// The correlation ID rides along into the harness's trace spans; it is
-	// not part of the fingerprint (two requests for the same experiment
-	// share one cache entry regardless of who asked).
+	// not part of any key (two requests for the same experiment share one
+	// document and one set of runs regardless of who asked).
 	opts.RequestID = requestID
+	opts.OnStored = func(n int) {
+		if n > 0 {
+			s.m.sweepsResumed.Inc()
+			s.m.resumedRuns.Add(uint64(n))
+			s.cfg.Logf("sweep %s: %d runs already stored", short(p.fingerprint), n)
+		}
+		// Headers must beat the first progress frame out the door.
+		w.Header().Set(HeaderResumed, strconv.Itoa(n))
+	}
 	if st != nil {
 		tracker := sweep.NewEventTracker(st.progress)
 		tracker.SetRequestID(requestID)
 		opts.Progress = tracker
-		// Headers must beat the first progress frame out the door.
 		w.Header().Set(HeaderCache, "miss")
-		w.Header().Set(HeaderResumed, strconv.Itoa(resumed))
 	}
 
 	res, _ := s.runSweep(p.size, opts)
-	if jerr := state.Err(); jerr != nil {
-		// Appends started failing mid-sweep (the RunLog's sticky error
-		// already downgraded the rest of the sweep to un-journaled);
-		// completed runs stayed in memory and the response is unaffected.
-		s.persist.degrade(opJournalAppend, jerr)
+	if err := opts.Store.Err(); err != nil {
+		// A record Put failed mid-sweep (the sticky error already stopped
+		// the rest of the sweep's Puts); completed runs stayed in memory
+		// and the response is unaffected.
+		s.persist.degrade(opRecordPut, err)
 	}
-	state.Close()
 
 	if interruption(res) {
 		done := len(res.Runs)
@@ -781,15 +751,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		case s.draining():
 			s.retryAfter(w)
 			s.fail(w, st, http.StatusServiceUnavailable, "draining",
-				fmt.Sprintf("server draining: %d of %d runs completed and checkpointed; resubmit to resume", done, total))
+				fmt.Sprintf("server draining: %d of %d runs completed and stored; resubmit to resume", done, total))
 		case reqCtx.Err() == context.DeadlineExceeded:
 			s.fail(w, st, http.StatusGatewayTimeout, "deadline",
-				fmt.Sprintf("request deadline expired: %d of %d runs completed and checkpointed; resubmit to resume", done, total))
+				fmt.Sprintf("request deadline expired: %d of %d runs completed and stored; resubmit to resume", done, total))
 		default:
-			// Client disconnect (or hard abort): the journal keeps what
+			// Client disconnect (or hard abort): the store keeps what
 			// finished; nothing useful to write to a vanished client.
 			s.fail(w, st, http.StatusServiceUnavailable, "canceled",
-				fmt.Sprintf("request canceled: %d of %d runs completed and checkpointed", done, total))
+				fmt.Sprintf("request canceled: %d of %d runs completed and stored", done, total))
 		}
 		return
 	}
@@ -802,29 +772,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := append(data, '\n')
-	if s.persist.ok() {
-		if err := s.cache.Put(p.fingerprint, body); err != nil {
-			// The cache is an accelerator: failure to memoize must not
-			// fail the request. The journal stays put so nothing is lost.
-			s.persist.degrade(opCachePut, err)
-		} else {
-			// The cache entry subsumes the journal; drop it so the state
-			// dir stays bounded by distinct fingerprints, not request
-			// history. (A crash between Put and Remove leaves both; the
-			// cache hit wins and GC reaps the orphan journal.)
-			if err := s.fs.Remove(jpath); err != nil && !os.IsNotExist(err) {
-				s.cfg.Logf("sweep %s: removing subsumed journal: %v", short(p.fingerprint), err)
-			} else if err := journal.SyncDirOn(s.fs, s.journalDir); err != nil {
-				s.cfg.Logf("sweep %s: %v", short(p.fingerprint), err)
-			}
-			if s.cfg.StateQuota > 0 {
-				s.enforceQuota()
-			}
-		}
-	}
-	if st == nil {
-		w.Header().Set(HeaderResumed, strconv.Itoa(resumed))
-	}
+	s.storeDoc(p.fingerprint, body)
 	s.serveDoc(w, st, body, "miss", time.Since(t0))
 }
 
@@ -848,17 +796,30 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer release()
 
-	if body, ok := s.cache.Get(p.fingerprint); ok {
+	if body, ok := s.store.Get(p.fingerprint); ok {
 		s.serveDoc(w, nil, body, "hit", time.Since(t0))
 		return
 	}
 
-	runCtx, stopRun := mergeCtx(reqCtx, s.cfg.Hard)
-	defer stopRun()
-	spec := p.spec
-	spec.Ctx = runCtx
-	spec.RequestID = RequestIDFrom(r.Context())
-	out := s.runOne(spec)
+	// The run itself may already be stored — by a sweep that included it,
+	// or by a request that differed only in scheduling knobs.
+	recs := s.records()
+	key := store.RunKey(p.spec)
+	out := recs.Get(key)
+	if out != nil {
+		s.m.resumedRuns.Inc()
+	} else {
+		runCtx, stopRun := mergeCtx(reqCtx, s.cfg.Hard)
+		defer stopRun()
+		spec := p.spec
+		spec.Ctx = runCtx
+		spec.RequestID = RequestIDFrom(r.Context())
+		out = s.runOne(spec)
+		recs.Put(key, out)
+		if err := recs.Err(); err != nil {
+			s.persist.degrade(opRecordPut, err)
+		}
+	}
 
 	doc := out.JSON()
 	scrubOutcome(&doc)
@@ -870,14 +831,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	body := append(data, '\n')
 	// A canceled outcome is an artifact of this request's shutdown
 	// (deadline, drain's hard stage, client disconnect), not a result:
-	// serve it structured, but never memoize it — the same rule the
-	// journal applies.
-	if (out.Err == nil || out.Err.Kind != harness.KindCanceled) && s.persist.ok() {
-		if err := s.cache.Put(p.fingerprint, body); err != nil {
-			s.persist.degrade(opCachePut, err)
-		} else if s.cfg.StateQuota > 0 {
-			s.enforceQuota()
-		}
+	// serve it structured, but never memoize it — the same rule the run
+	// records follow.
+	if out.Err == nil || out.Err.Kind != harness.KindCanceled {
+		s.storeDoc(p.fingerprint, body)
 	}
 	s.serveDoc(w, nil, body, "miss", time.Since(t0))
 }

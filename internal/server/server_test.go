@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/harness"
+	"repro/internal/store"
 
 	_ "repro/internal/suites/rodinia"
 )
@@ -182,9 +184,9 @@ func TestRunDeadlineCanceledOutcome(t *testing.T) {
 const fastSweep = `{"benchmarks": ["rodinia/backprop"], "size": "small", "max_events": 40000}`
 
 // TestSweepCacheLifecycle drives the full memoization story against the
-// real simulator: miss (execute, journal, cache), hit (byte-identical,
-// no re-execution), corrupt entry (quarantine, recompute, byte-identical
-// again).
+// real simulator: miss (execute, store runs and document), hit
+// (byte-identical, no re-execution), corrupt document (quarantine,
+// reassemble from the stored runs, byte-identical again).
 func TestSweepCacheLifecycle(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 
@@ -202,10 +204,10 @@ func TestSweepCacheLifecycle(t *testing.T) {
 	if bytes.Contains(clean, []byte("wall_ms")) {
 		t.Fatal("sweep document leaked wall_ms; responses must be deterministic")
 	}
-	// The completed sweep's journal is subsumed by the cache entry.
-	journals, _ := filepath.Glob(filepath.Join(s.journalDir, "*.journal"))
-	if len(journals) != 0 {
-		t.Fatalf("journals left after completed sweep: %v", journals)
+	// Every run of the sweep is stored as its own record.
+	b, _ := bench.Get("rodinia/backprop")
+	if recs := runRecords(t, s); len(recs) != len(b.Info().Modes()) {
+		t.Fatalf("run records after completed sweep = %v, want one per mode", recs)
 	}
 
 	// Hit: same bytes, no execution (seam trips the test if called).
@@ -222,20 +224,18 @@ func TestSweepCacheLifecycle(t *testing.T) {
 		t.Fatal("cache hit body differs from the original response")
 	}
 
-	// Corrupt the entry: quarantine + recompute, byte-identical again.
+	// Corrupt the document: quarantine + reassemble, byte-identical again.
 	s.runSweep = experiments.RunSweep
-	entries, err := filepath.Glob(filepath.Join(s.cache.dir, "*.entry"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache entries = %v (err=%v), want exactly 1", entries, err)
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(fastSweep), &req); err != nil {
+		t.Fatal(err)
 	}
-	data, err := os.ReadFile(entries[0])
+	p, err := resolveSweep(&req, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-2] ^= 0x20
-	if err := os.WriteFile(entries[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	doc := filepath.Join(s.store.Dir(), p.fingerprint+".entry")
+	corruptFile(t, doc)
 	resp = postJSON(t, ts.URL+"/v1/sweep", fastSweep)
 	recomputed := readBody(t, resp)
 	if got := resp.Header.Get(HeaderCache); got != "miss" {
@@ -244,7 +244,10 @@ func TestSweepCacheLifecycle(t *testing.T) {
 	if !bytes.Equal(recomputed, clean) {
 		t.Fatal("recomputed body differs from the original response")
 	}
-	if _, err := os.Stat(entries[0] + ".corrupt"); err != nil {
+	if got := resp.Header.Get(HeaderResumed); got != strconv.Itoa(len(b.Info().Modes())) {
+		t.Fatalf("post-corruption sweep %s = %q, want every run reused", HeaderResumed, got)
+	}
+	if _, err := os.Stat(doc + ".corrupt"); err != nil {
 		t.Fatalf("corrupt entry not quarantined: %v", err)
 	}
 }
@@ -497,12 +500,15 @@ func TestBenchmarksEndpoint(t *testing.T) {
 }
 
 // TestSweepDrainMidRun: a drain that begins while a sweep is executing
-// turns the response into a 503 that reports checkpoint progress, and the
-// journal survives for the resubmission to resume.
+// turns the response into a 503 that reports checkpoint progress; the
+// sweep wrote through the run store, so the resubmission resumes.
 func TestSweepDrainMidRun(t *testing.T) {
 	drain, startDrain := context.WithCancel(context.Background())
 	s, ts := newTestServer(t, func(c *Config) { c.Drain = drain })
 	s.runSweep = func(size bench.Size, opts experiments.SweepOpts) (*experiments.Results, []harness.RunError) {
+		if opts.Store == nil {
+			t.Error("sweep ran without the run store")
+		}
 		startDrain()
 		<-opts.Ctx.Done() // dispatch context must observe the drain
 		res := stubSweepResults(size)
@@ -517,17 +523,14 @@ func TestSweepDrainMidRun(t *testing.T) {
 	if !bytes.Contains(body, []byte("resubmit")) {
 		t.Fatalf("drained sweep does not advertise resume: %s", body)
 	}
-	journals, _ := filepath.Glob(filepath.Join(s.journalDir, "*.journal"))
-	if len(journals) != 1 {
-		t.Fatalf("journals after drained sweep = %v, want the checkpoint to survive", journals)
-	}
 }
 
-// TestCorruptJournalQuarantined: a damaged checkpoint journal must not
-// wedge its fingerprint — the server quarantines it and recomputes.
-func TestCorruptJournalQuarantined(t *testing.T) {
+// TestCorruptRecordQuarantined: a damaged run record must not wedge its
+// run — the server quarantines it, simulates the run again, and answers
+// byte-identically.
+func TestCorruptRecordQuarantined(t *testing.T) {
+	clean := cleanBaseline(t)
 	s, ts := newTestServer(t, nil)
-	// Seed a journal under the request's fingerprint, then corrupt it.
 	var req SweepRequest
 	if err := json.Unmarshal([]byte(fastSweep), &req); err != nil {
 		t.Fatal(err)
@@ -536,18 +539,24 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jpath := filepath.Join(s.journalDir, p.fingerprint+".journal")
-	if err := os.WriteFile(jpath, []byte("not a journal at all\n"), 0o644); err != nil {
+	b, _ := bench.Get("rodinia/backprop")
+	key := store.RunKey(harness.Spec{Bench: b, Mode: bench.ModeCopy, Size: bench.SizeSmall,
+		Budget: p.opts.Budget})
+	path := filepath.Join(s.store.Dir(), key+".entry")
+	if err := os.WriteFile(path, []byte("not a record at all\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	resp := postJSON(t, ts.URL+"/v1/sweep", fastSweep)
 	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep over corrupt journal = %d; body: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, clean) {
+		t.Fatalf("sweep over a corrupt record = %d, identical=%v; body: %s", resp.StatusCode, bytes.Equal(body, clean), body)
 	}
-	if _, err := os.Stat(jpath + ".corrupt"); err != nil {
-		t.Fatalf("corrupt journal not quarantined: %v", err)
+	if got := resp.Header.Get(HeaderResumed); got != "0" {
+		t.Fatalf("%s = %q, want 0: the corrupt record must not be reused", HeaderResumed, got)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("corrupt record not quarantined: %v", err)
 	}
 }
 

@@ -14,7 +14,7 @@
 // runs those on worker goroutines, pipelined ahead of the timing clock
 // inside a bounded window, and the timing thread consumes their results
 // in exactly the order the serial engine would have produced them — so
-// results, counters, traces, and journals stay byte-identical to the
+// results, counters, traces, and run records stay byte-identical to the
 // serial engine for every worker count.
 //
 // Domains partition scheduled events for accounting (Engine.AtD), and

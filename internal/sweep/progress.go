@@ -144,8 +144,8 @@ func (p *Tracker) Finish(name string, ok bool, detail string) {
 	p.emit(kind, name, detail)
 }
 
-// Replay logs a run restored from a checkpoint journal instead of
-// executed; it counts toward the finished tally.
+// Replay logs a run reused from the run store instead of executed; it
+// counts toward the finished tally.
 func (p *Tracker) Replay(name string) {
 	if p == nil {
 		return
@@ -154,11 +154,11 @@ func (p *Tracker) Replay(name string) {
 	defer p.mu.Unlock()
 	p.finished++
 	p.replayed++
-	p.line("replay %-40s (%d/%d) from journal", name, p.finished, p.total)
-	p.emit("replay", name, "from journal")
+	p.line("replay %-40s (%d/%d) from store", name, p.finished, p.total)
+	p.emit("replay", name, "from store")
 }
 
-// Replayed reports how many runs were restored from a journal so far.
+// Replayed reports how many runs were reused from the store so far.
 func (p *Tracker) Replayed() int {
 	if p == nil {
 		return 0

@@ -13,11 +13,11 @@ import (
 // sweep commands share. It returns two contexts derived from parent:
 //
 //   - dispatch is canceled by the first SIGINT/SIGTERM: the sweep stops
-//     handing out new runs, drains the in-flight ones, journals them, and
+//     handing out new runs, drains the in-flight ones, stores them, and
 //     writes a partial report.
 //   - run is canceled by the second signal: in-flight runs are aborted
 //     through their engines' periodic cancellation checks and come back
-//     as canceled RunErrors (which the journal deliberately does not
+//     as canceled RunErrors (which the run store deliberately does not
 //     record, so a resume re-runs them).
 //
 // A third signal restores the default OS disposition, so one more ^C

@@ -34,7 +34,7 @@ func Jobs(n int) int {
 // Canceling ctx stops dispatch: tasks not yet handed to a worker never
 // run, while in-flight tasks drain to completion before Each returns —
 // the graceful-shutdown contract the checkpointing sweep needs (every
-// started run finishes and is journaled; nothing is half-done). A nil ctx
+// started run finishes and is stored; nothing is half-done). A nil ctx
 // means never canceled.
 func Each(ctx context.Context, jobs, n int, task func(i int)) {
 	if n <= 0 {
