@@ -171,30 +171,13 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 	start := s.Eng.Now()
 	st := s.Col.StageBegin(core.StageKernel, k.Name, stats.GPU, launchStart, launchDur, start)
 	var children []KernelSpec
-	// gen produces one CTA's lane traces through t. One Thread per CTA,
-	// re-pointed per lane: kernels only use the Thread inside Func, so the
-	// struct need not outlive the call. Each lane's trace is retained for
-	// replay and stays per-lane.
-	gen := func(cta int, t *Thread) []isa.Trace {
-		out := make([]isa.Trace, k.Block)
-		t.cta = cta
-		t.block = k.Block
-		t.children = &children
-		for i := 0; i < k.Block; i++ {
-			t.lane = i
-			t.global = cta*k.Block + i
-			t.tr = make(isa.Trace, 0, 64)
-			k.Func(t)
-			out[i] = t.tr
-		}
-		return out
-	}
+	rec := newLaneRecorder(s, k.Block, k.Func, &children)
 	kern := &gpucore.Kernel{
 		Name:         k.Name,
 		CTAs:         k.Grid,
 		ThreadsPerTA: k.Block,
 		ScratchBytes: k.ScratchBytes,
-		Gen:          func(cta int) []isa.Trace { return gen(cta, &Thread{s: s, foot: s.Col.Footprint()}) },
+		Gen:          func(cta int) []isa.Trace { return rec.gen(cta, s.Col.Footprint()) },
 		Done: func(end sim.Tick, flops uint64) {
 			s.flushGPUL1s(end)
 			s.Col.StageEnd(st, end, flops, 0)
@@ -229,7 +212,7 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 		// writes are ordered against the timing thread by the pipeline's
 		// result hand-off; footprint touches can't go to the collector from
 		// off-thread, so they go to the generation worker's shard.
-		kern.GenPar = func(cta int) []isa.Trace { return gen(cta, &Thread{s: s, foot: s.genShard}) }
+		kern.GenPar = func(cta int) []isa.Trace { return rec.gen(cta, s.genShard) }
 	}
 	s.gpu.Launch(start, kern)
 }

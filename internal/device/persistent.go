@@ -49,22 +49,12 @@ func (s *System) LaunchPersistent(spec PersistentKernelSpec, deps ...*Handle) *P
 	p := &PersistentKernel{s: s, spec: spec}
 	p.opened = s.newHandle("persistent kernel " + spec.Name)
 	p.done = s.newHandle("persistent kernel " + spec.Name + " drain")
+	rec := newLaneRecorder(s, spec.Block, spec.Func, nil)
 	p.k = &gpucore.Kernel{
 		Name:         spec.Name,
 		ThreadsPerTA: spec.Block,
 		ScratchBytes: spec.ScratchBytes,
-		Gen: func(cta int) []isa.Trace {
-			out := make([]isa.Trace, spec.Block)
-			t := &Thread{s: s, foot: s.Col.Footprint(), cta: cta, block: spec.Block}
-			for i := 0; i < spec.Block; i++ {
-				t.lane = i
-				t.global = cta*spec.Block + i
-				t.tr = make(isa.Trace, 0, 64)
-				spec.Func(t)
-				out[i] = t.tr
-			}
-			return out
-		},
+		Gen:          func(cta int) []isa.Trace { return rec.gen(cta, s.Col.Footprint()) },
 		Done: func(end sim.Tick, flops uint64) {
 			s.flushGPUL1s(end)
 			p.done.complete(end)

@@ -108,9 +108,9 @@ func WithTrace(tr *trace.Recorder) Option {
 	return func(s *System) { s.Tr = tr }
 }
 
-// WithParallel requests par total workers of intra-run parallelism
-// (timing thread included): 0 or 1 is the serial engine, 2 adds a trace
-// generation worker, 3+ adds pre-processing workers. Results, counters,
+// WithParallel requests intra-run parallelism: 0 or 1 is the serial
+// engine; any par of 2 or more runs the timing thread plus one worker that
+// generates and compiles CTAs ahead of it. Results, counters,
 // traces, and run records are byte-identical for every value — par is a
 // scheduling knob, like a sweep's -jobs. A config with zero lookahead
 // falls back to serial and records the fallback.
@@ -266,8 +266,8 @@ func NewSystemErr(cfg config.System, opts ...Option) (*System, error) {
 		} else {
 			// The window (jobs the pipeline may run ahead) is sized to the
 			// device's resident-CTA capacity: generation further ahead than
-			// the SMs could possibly consume buys nothing and holds traces
-			// live.
+			// the SMs could possibly consume buys nothing and holds compiled
+			// programs live.
 			window := cfg.GPU.MaxCTAsPerSM * cfg.GPU.SMs * 2
 			if window < 8 {
 				window = 8

@@ -88,6 +88,49 @@ func (t *Thread) touch(addr memory.Addr, size int) {
 	t.foot.Touch(stats.GPU, addr, size)
 }
 
+// laneRecorder runs a kernel body once per lane of a CTA, recording every
+// lane into one flat op arena that the launch reuses across its CTAs, so
+// it grows to the launch's largest CTA and then stops allocating.
+type laneRecorder struct {
+	t     Thread
+	fn    func(t *Thread)
+	ends  []int       // ends[i] is lane i's end offset in the arena t.tr
+	lanes []isa.Trace // per-lane views into the arena, returned by gen
+}
+
+// newLaneRecorder builds the recorder of one launch of fn with block
+// threads per CTA. children collects device-side launches; nil makes
+// LaunchChild panic, as it does outside a kernel.
+func newLaneRecorder(s *System, block int, fn func(t *Thread), children *[]KernelSpec) *laneRecorder {
+	return &laneRecorder{
+		t:     Thread{s: s, block: block, children: children},
+		fn:    fn,
+		ends:  make([]int, block),
+		lanes: make([]isa.Trace, block),
+	}
+}
+
+// gen records CTA cta's lane traces, routing footprint touches to foot.
+// The traces alias the arena: they are valid until the next gen call.
+func (r *laneRecorder) gen(cta int, foot *core.Footprint) []isa.Trace {
+	t := &r.t
+	t.foot = foot
+	t.cta = cta
+	t.tr = t.tr[:0]
+	for i := range r.lanes {
+		t.lane = i
+		t.global = cta*t.block + i
+		r.fn(t)
+		r.ends[i] = len(t.tr)
+	}
+	start := 0
+	for i, end := range r.ends {
+		r.lanes[i] = t.tr[start:end:end]
+		start = end
+	}
+	return r.lanes
+}
+
 // CPUThread is one CPU software thread's execution context.
 type CPUThread struct {
 	s   *System

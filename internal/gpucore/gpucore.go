@@ -6,12 +6,17 @@
 // port.
 //
 // Lane traces are generated lazily per CTA by the device layer (CUDA
-// semantics make CTAs order-independent), so peak trace memory is bounded by
-// the resident CTA set rather than the whole grid.
+// semantics make CTAs order-independent) and compiled on the spot into one
+// flat instruction stream per warp: the SIMT merge and address coalescing
+// run once, in the compiler, and the timing model replays only the
+// compiled program. Lane traces die at the compiler, so trace memory is one
+// CTA's lanes per generator; what stays live are the compact programs of
+// resident (and, with a parallel engine, pipelined) CTAs.
 package gpucore
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/isa"
@@ -32,6 +37,9 @@ type Kernel struct {
 	ThreadsPerTA int // threads per CTA (block size)
 	ScratchBytes int // scratch per CTA
 	// Gen lazily produces the lane traces for CTA cta (ThreadsPerTA traces).
+	// The traces may alias a buffer the generator reuses: they are valid
+	// until the next Gen (or GenPar) call of the same kernel. The GPU
+	// compiles them into a warp program before making that call.
 	Gen func(cta int) []isa.Trace
 	// GenPar, when set and the GPU has a parallel engine, generates CTA
 	// traces on the engine's generation worker instead of Gen on the timing
@@ -42,10 +50,14 @@ type Kernel struct {
 	// kernel executed.
 	Done func(end sim.Tick, flops uint64)
 
-	// stream delivers pipelined CTA generation results in CTA order when
-	// the kernel was launched with a parallel engine active; nil runs Gen
-	// synchronously in startCTA (the serial path).
+	// stream delivers the compiled programs of pipelined CTAs in CTA order
+	// when the kernel was launched with a parallel engine active; nil
+	// builds each program synchronously in startCTA (the serial path).
 	stream *sim.Stream
+	// cc is the compile scratch of whichever goroutine builds this
+	// kernel's programs: the timing thread or the generation worker, never
+	// both.
+	cc compiler
 
 	remaining int // CTAs not yet dispatched
 	live      int // CTAs resident on SMs
@@ -102,8 +114,8 @@ type GPU struct {
 	queue  []*Kernel // FIFO of kernels with undispatched CTAs
 	warpsz int
 
-	// Par, when non-nil, pipelines CTA trace generation (and, with pre
-	// workers, coalescing plans) ahead of the timing clock. parOK drops to
+	// Par, when non-nil, pipelines CTA generation and compilation ahead of
+	// the timing clock on its generation worker. parOK drops to
 	// false — permanently, for the rest of the run — at the first
 	// persistent-kernel launch, whose batch-by-batch dispatch order is
 	// timing-dependent and would break the generation-order guarantee for
@@ -141,10 +153,6 @@ func (s *sm) takeWarp(cs *ctaState, now sim.Tick) *warp {
 		wp.cta = cs
 		wp.t = now
 		wp.ended = false
-		wp.lanes = wp.lanes[:0]
-		wp.plan = nil
-		wp.planInst = 0
-		wp.planOff = 0
 		return wp
 	}
 	wp := &warp{sm: s, cta: cs, t: now}
@@ -182,8 +190,8 @@ func New(eng *sim.Engine, cfg config.GPUConfig, l1s []*memory.Cache, vmgr *vm.Ma
 	return g
 }
 
-// UsePar attaches a parallel engine: kernels launched from now on pipeline
-// their CTA trace generation through it. Call before any launches.
+// UsePar attaches a parallel engine: kernels launched from now on build
+// their CTA programs on its generation worker. Call before any launches.
 func (g *GPU) UsePar(p *sim.ParEngine) {
 	g.Par = p
 	g.parOK = p != nil
@@ -209,29 +217,30 @@ func (g *GPU) Launch(at sim.Tick, k *Kernel) {
 	})
 }
 
-// pipeline submits kernel k's CTA generation to the parallel engine at its
+// pipeline submits kernel k's CTA builds to the parallel engine at its
 // launch event. Launch events execute in engine order and the generation
 // worker drains submissions FIFO, so across every kernel the off-thread
 // generation order equals the order serial dispatch would have called Gen
 // in (dispatch drains the queue head first: all of an earlier kernel's
 // CTAs, in increasing index order, generate before a later kernel's
-// first). With pre workers, each generated CTA then gets its coalescing
-// plan built off-thread before the timing thread consumes it in startCTA.
+// first).
 func (g *GPU) pipeline(k *Kernel) {
 	gen := k.GenPar
 	if gen == nil {
 		gen = k.Gen
 	}
-	genFn := func(i int) any { return gen(i) }
-	if g.Par.PreWorkers() == 0 {
-		k.stream = g.Par.Pipeline(k.CTAs, genFn, nil)
-		return
+	k.stream = g.Par.Pipeline(k.CTAs, func(i int) any { return g.build(k, gen, i) })
+}
+
+// build generates CTA cta with gen and compiles it: the one path from a
+// kernel's lane traces to a warp program. It runs on the timing thread for
+// serial kernels and on the generation worker for pipelined ones.
+func (g *GPU) build(k *Kernel, gen func(cta int) []isa.Trace, cta int) *program {
+	traces := gen(cta)
+	if len(traces) != k.ThreadsPerTA {
+		panic("gpucore: Gen returned wrong lane count for kernel " + k.Name)
 	}
-	warpsz, lineBytes := g.warpsz, g.LineBytes
-	k.stream = g.Par.Pipeline(k.CTAs, genFn, func(_, _ int, v any) any {
-		traces := v.([]isa.Trace)
-		return &ctaOut{traces: traces, plan: buildCTAPlan(traces, warpsz, lineBytes)}
-	})
+	return k.cc.compile(traces, g.warpsz, g.LineBytes)
 }
 
 // LaunchPersistent enqueues an open (persistent) kernel at time at. The
@@ -371,23 +380,14 @@ type ctaState struct {
 
 func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 	now := s.g.Eng.Now()
-	var traces []isa.Trace
-	var plan *ctaPlan
+	var p *program
 	if k.stream != nil {
 		// Pipelined kernel: CTAs dispatch in increasing index order (the
-		// order the pump generated them in), so the stream's next result is
-		// exactly this CTA's.
-		switch v := k.stream.Next().(type) {
-		case *ctaOut:
-			traces, plan = v.traces, v.plan
-		case []isa.Trace:
-			traces = v
-		}
+		// order the pump built them in), so the stream's next result is
+		// exactly this CTA's program.
+		p = k.stream.Next().(*program)
 	} else {
-		traces = k.Gen(ctaIdx)
-	}
-	if len(traces) != k.ThreadsPerTA {
-		panic("gpucore: Gen returned wrong lane count for kernel " + k.Name)
+		p = s.g.build(k, k.Gen, ctaIdx)
 	}
 	w := s.g.warpsNeeded(k)
 	cs := &ctaState{sm: s, k: k, fl: &k.flops, idx: ctaIdx, start: now, liveWarps: w}
@@ -405,18 +405,8 @@ func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 	s.scratch += k.ScratchBytes
 	s.g.cCTAs.Inc()
 	for wi := 0; wi < w; wi++ {
-		lo := wi * s.g.warpsz
-		hi := lo + s.g.warpsz
-		if hi > len(traces) {
-			hi = len(traces)
-		}
 		wp := s.takeWarp(cs, now)
-		if plan != nil {
-			wp.plan = &plan.warps[wi]
-		}
-		for _, tr := range traces[lo:hi] {
-			wp.lanes = append(wp.lanes, laneCursor{tr: tr})
-		}
+		wp.code, wp.lines = p.warp(wi)
 		s.g.Eng.AtD(sim.DomainGPU, now, wp.stepFn)
 	}
 }
@@ -476,32 +466,131 @@ func (cs *ctaState) traceCTA(end sim.Tick) {
 		fmt.Sprintf("%s cta %d", cs.k.Name, cs.idx), cs.start, end)
 }
 
-type laneCursor struct {
-	tr  isa.Trace
-	idx int
+// inst is one compiled warp instruction (16 bytes). For OpCompute, n is
+// the widest participating lane's FLOP count (its issue cycles) and sum the
+// FLOPs of all participating lanes; for a memory kind, n is how many
+// coalesced lines the op takes from the warp's line list. Sync and scratch
+// carry no operands.
+type inst struct {
+	sum  uint64
+	n    uint32
+	kind isa.OpKind
 }
 
-func (lc *laneCursor) done() bool { return lc.idx >= len(lc.tr) }
+// isMem reports whether kind is a global-memory op.
+func isMem(kind isa.OpKind) bool {
+	return kind == isa.OpLoad || kind == isa.OpLoadDep || kind == isa.OpStore || kind == isa.OpAtomic
+}
+
+// program is one CTA compiled for replay: every warp's instructions end to
+// end in code, its coalesced lines end to end in lines, and warp w's share
+// starting at at[w] (the last entry closes the last warp).
+type program struct {
+	code  []inst
+	lines []memory.Addr
+	at    []progOffset
+}
+
+type progOffset struct{ code, lines int }
+
+// warp returns warp wi's instruction stream and coalesced lines.
+func (p *program) warp(wi int) ([]inst, []memory.Addr) {
+	lo, hi := p.at[wi], p.at[wi+1]
+	return p.code[lo.code:hi.code], p.lines[lo.lines:hi.lines]
+}
+
+// compiler is the scratch one goroutine reuses across the CTAs it
+// compiles; only the finished program is allocated per CTA.
+type compiler struct {
+	pos   []int // per-lane cursor into the lane's trace
+	code  []inst
+	lines []memory.Addr
+	at    []progOffset
+}
+
+// compile runs the SIMT merge over one CTA's lane traces, warp by warp, and
+// returns the program the warps replay. Which ops issue, in what per-warp
+// order and with which lanes is a pure function of the traces (timing
+// decides only when), so the merge runs once here. In each issue slot the
+// lowest-numbered unfinished lane leads, and every unfinished lane whose
+// next op has the leader's kind participates; divergent lanes wait for a
+// later slot (branch serialization). A memory op's participant accesses
+// coalesce into the distinct lines they span. The traces are not retained.
+func (c *compiler) compile(traces []isa.Trace, warpsz, lineBytes int) *program {
+	c.code, c.lines, c.at = c.code[:0], c.lines[:0], c.at[:0]
+	for lo := 0; lo < len(traces); lo += warpsz {
+		c.at = append(c.at, progOffset{len(c.code), len(c.lines)})
+		c.warp(traces[lo:min(lo+warpsz, len(traces))], lineBytes)
+	}
+	c.at = append(c.at, progOffset{len(c.code), len(c.lines)})
+	return &program{code: slices.Clone(c.code), lines: slices.Clone(c.lines), at: slices.Clone(c.at)}
+}
+
+// warp appends one warp's instructions and lines.
+func (c *compiler) warp(lanes []isa.Trace, lineBytes int) {
+	pos := c.pos[:0]
+	for range lanes {
+		pos = append(pos, 0)
+	}
+	c.pos = pos
+	// Finished lanes stay finished, so the leader only moves up.
+	for lead := 0; ; {
+		for lead < len(lanes) && pos[lead] == len(lanes[lead]) {
+			lead++
+		}
+		if lead == len(lanes) {
+			return
+		}
+		in := inst{kind: lanes[lead][pos[lead]].Kind}
+		base := len(c.lines)
+		for i := lead; i < len(lanes); i++ {
+			if pos[i] == len(lanes[i]) || lanes[i][pos[i]].Kind != in.kind {
+				continue
+			}
+			op := lanes[i][pos[i]]
+			pos[i]++
+			switch {
+			case in.kind == isa.OpCompute:
+				in.n = max(in.n, op.N)
+				in.sum += uint64(op.N)
+			case isMem(in.kind):
+				c.coalesce(base, op, lineBytes)
+			}
+		}
+		if isMem(in.kind) {
+			in.n = uint32(len(c.lines) - base)
+		}
+		c.code = append(c.code, in)
+	}
+}
+
+// coalesce appends the lines op spans that the current memory op (whose
+// lines start at base) does not already hold.
+func (c *compiler) coalesce(base int, op isa.Op, lineBytes int) {
+	if op.N == 0 {
+		return
+	}
+	last := memory.LineAddr(op.Addr+memory.Addr(op.N)-1, lineBytes)
+	for a := memory.LineAddr(op.Addr, lineBytes); a <= last; a += memory.Addr(lineBytes) {
+		if !slices.Contains(c.lines[base:], a) {
+			c.lines = append(c.lines, a)
+		}
+	}
+}
 
 type warp struct {
-	sm    *sm
-	cta   *ctaState
-	lanes []laneCursor
+	sm  *sm
+	cta *ctaState
+	// code and lines are the rest of the warp's compiled program: the
+	// instructions not yet issued and the coalesced lines of its remaining
+	// memory ops.
+	code  []inst
+	lines []memory.Addr
 	t     sim.Tick
 	ended bool
 	// stepFn is w.step bound once at construction; scheduling it avoids a
 	// method-value closure allocation on every suspend/resume.
 	stepFn func()
-	// lineBuf is the reused coalescing scratch buffer: memoryOp gathers the
-	// op's unique lines into it instead of allocating a fresh slice per
-	// memory instruction.
-	lineBuf []memory.Addr
-	// plan, when non-nil, is this warp's precomputed coalesced line lists
-	// (built off-thread by a pre worker); planInst/planOff cursor through
-	// it in memory-op issue order.
-	plan     *warpPlan
-	planInst int
-	planOff  int
 }
 
 // step replays warp instructions until it blocks on memory, hits a barrier,
@@ -511,74 +600,33 @@ func (w *warp) step() {
 	limit := w.t + quantum
 
 	for w.t < limit {
-		// SIMT merge: the lowest-numbered unfinished lane leads; every
-		// unfinished lane whose next op matches its kind participates.
-		// Divergent lanes wait for a later slot — branch serialization.
-		lead := -1
-		for i := range w.lanes {
-			if !w.lanes[i].done() {
-				lead = i
-				break
-			}
-		}
-		if lead < 0 {
+		if len(w.code) == 0 {
 			w.finish()
 			return
 		}
-		kind := w.lanes[lead].tr[w.lanes[lead].idx].Kind
+		in := w.code[0]
+		w.code = w.code[1:]
 
-		switch kind {
+		switch in.kind {
 		case isa.OpSync:
-			// All unfinished lanes must be at the barrier in well-formed
-			// code; advance every lane currently at a sync.
-			for i := range w.lanes {
-				lc := &w.lanes[i]
-				if !lc.done() && lc.tr[lc.idx].Kind == isa.OpSync {
-					lc.idx++
-				}
-			}
 			if w.barrier() {
 				return // suspended until the last warp arrives
 			}
-			continue
 
 		case isa.OpCompute:
-			var maxN uint32
-			var sum uint64
-			for i := range w.lanes {
-				lc := &w.lanes[i]
-				if !lc.done() && lc.tr[lc.idx].Kind == isa.OpCompute {
-					n := lc.tr[lc.idx].N
-					if n > maxN {
-						maxN = n
-					}
-					sum += uint64(n)
-					lc.idx++
-				}
-			}
-			cyc := int64(maxN)
-			if cyc < 1 {
-				cyc = 1
-			}
+			cyc := max(int64(in.n), 1)
 			start := w.sm.issue.Claim(w.t, g.Clk.Cycles(cyc))
 			w.t = start + g.Clk.Cycles(cyc)
-			*w.cta.fl += sum
-			g.cFLOPs.Add(sum)
+			*w.cta.fl += in.sum
+			g.cFLOPs.Add(in.sum)
 
 		case isa.OpScratch:
-			for i := range w.lanes {
-				lc := &w.lanes[i]
-				if !lc.done() && lc.tr[lc.idx].Kind == isa.OpScratch {
-					lc.idx++
-				}
-			}
 			start := w.sm.issue.Claim(w.t, g.Clk.Cycles(1))
 			w.t = start + g.Clk.Cycles(1)
 			g.cScratchOps.Inc()
 
 		case isa.OpLoad, isa.OpLoadDep, isa.OpStore, isa.OpAtomic:
-			blocked := w.memoryOp(kind)
-			if blocked {
+			if w.memoryOp(in.kind, int(in.n)) {
 				return // rescheduled at completion time
 			}
 		}
@@ -586,144 +634,16 @@ func (w *warp) step() {
 	g.Eng.AtD(sim.DomainGPU, w.t, w.stepFn)
 }
 
-// ctaOut is a pre worker's product for one CTA: its lane traces plus the
-// precomputed coalescing plan for its warps.
-type ctaOut struct {
-	traces []isa.Trace
-	plan   *ctaPlan
-}
-
-// ctaPlan holds per-warp coalescing plans for one CTA.
-type ctaPlan struct {
-	warps []warpPlan
-}
-
-// warpPlan is one warp's memory ops flattened in issue order: counts[j]
-// lines for the j-th memory op, stored contiguously in lines.
-type warpPlan struct {
-	lines  []memory.Addr
-	counts []int32
-}
-
-// buildCTAPlan precomputes each warp's coalesced line lists by replaying
-// step()'s SIMT sequencing over the traces. Which ops issue, in what
-// per-warp order, with which participant lanes is a pure function of the
-// trace contents — timing decides only when — so a plan built off-thread
-// matches the live replay exactly. Sync, compute, and scratch ops advance
-// lanes without producing lines; memory ops run the same coalesce body
-// memoryOp would.
-func buildCTAPlan(traces []isa.Trace, warpsz, lineBytes int) *ctaPlan {
-	nw := (len(traces) + warpsz - 1) / warpsz
-	plan := &ctaPlan{warps: make([]warpPlan, nw)}
-	var lanes []laneCursor
-	for wi := 0; wi < nw; wi++ {
-		lo := wi * warpsz
-		hi := lo + warpsz
-		if hi > len(traces) {
-			hi = len(traces)
-		}
-		lanes = lanes[:0]
-		for _, tr := range traces[lo:hi] {
-			lanes = append(lanes, laneCursor{tr: tr})
-		}
-		wp := &plan.warps[wi]
-		for {
-			lead := -1
-			for i := range lanes {
-				if !lanes[i].done() {
-					lead = i
-					break
-				}
-			}
-			if lead < 0 {
-				break
-			}
-			kind := lanes[lead].tr[lanes[lead].idx].Kind
-			switch kind {
-			case isa.OpSync, isa.OpCompute, isa.OpScratch:
-				advanceLanes(lanes, kind)
-			default:
-				base := len(wp.lines)
-				wp.lines = coalesce(wp.lines, lanes, kind, lineBytes)
-				wp.counts = append(wp.counts, int32(len(wp.lines)-base))
-			}
-		}
-	}
-	return plan
-}
-
-// coalesce advances every lane whose next op matches kind and appends that
-// op's unique line addresses to buf (deduplicated against buf's tail from
-// base on, i.e. within this op only), returning the extended buffer. It is
-// the single implementation of address coalescing, shared by the live
-// memoryOp path and the off-thread plan builder — one body, so the two can
-// never disagree on which transactions an op produces.
-func coalesce(buf []memory.Addr, lanes []laneCursor, kind isa.OpKind, lineBytes int) []memory.Addr {
-	base := len(buf)
-	for i := range lanes {
-		lc := &lanes[i]
-		if lc.done() || lc.tr[lc.idx].Kind != kind {
-			continue
-		}
-		op := lc.tr[lc.idx]
-		lc.idx++
-		n := memory.LinesSpanned(op.Addr, int(op.N), lineBytes)
-		for j := 0; j < n; j++ {
-			a := memory.LineAddr(op.Addr, lineBytes) + memory.Addr(j*lineBytes)
-			dup := false
-			for _, l := range buf[base:] {
-				if l == a {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				buf = append(buf, a)
-			}
-		}
-	}
-	return buf
-}
-
-// advanceLanes advances every lane whose next op matches kind, without
-// collecting addresses — the lane bookkeeping half of coalesce, used when a
-// precomputed plan already holds the op's line list.
-func advanceLanes(lanes []laneCursor, kind isa.OpKind) {
-	for i := range lanes {
-		lc := &lanes[i]
-		if !lc.done() && lc.tr[lc.idx].Kind == kind {
-			lc.idx++
-		}
-	}
-}
-
-// memoryOp issues a coalesced memory instruction. Loads and atomics block
-// the warp until all transactions complete (stall-on-use); stores are
-// posted. It reports whether the warp suspended (a resume event was
-// scheduled).
-func (w *warp) memoryOp(kind isa.OpKind) bool {
+// memoryOp issues a coalesced memory instruction over the warp's next n
+// lines. Loads and atomics block the warp until all transactions complete
+// (stall-on-use); stores are posted. It reports whether the warp suspended
+// (a resume event was scheduled).
+func (w *warp) memoryOp(kind isa.OpKind, n int) bool {
 	g := w.sm.g
 	write := kind == isa.OpStore || kind == isa.OpAtomic
-
-	var lines []memory.Addr
-	if pl := w.plan; pl != nil {
-		// Precomputed path: the pre worker already coalesced this op's
-		// lines; just advance the lanes and take the next plan entry.
-		if w.planInst >= len(pl.counts) {
-			panic("gpucore: coalescing plan diverged from replay for kernel " + w.cta.k.Name)
-		}
-		advanceLanes(w.lanes, kind)
-		n := int(pl.counts[w.planInst])
-		lines = pl.lines[w.planOff : w.planOff+n]
-		w.planInst++
-		w.planOff += n
-	} else {
-		// Gather participant addresses and coalesce into unique lines,
-		// reusing the warp's scratch buffer.
-		lines = coalesce(w.lineBuf[:0], w.lanes, kind, g.LineBytes)
-		w.lineBuf = lines
-	}
-	g.cMemTransactions.Add(uint64(len(lines)))
+	lines := w.lines[:n]
+	w.lines = w.lines[n:]
+	g.cMemTransactions.Add(uint64(n))
 	if kind == isa.OpAtomic {
 		g.cAtomics.Inc()
 	}
@@ -807,7 +727,7 @@ func (w *warp) finish() {
 	// the warp after finish() returns, so warpDone's dispatch chain may
 	// immediately reuse it for a backfilled CTA.
 	cta, t := w.cta, w.t
-	w.cta = nil
+	w.cta, w.code, w.lines = nil, nil, nil
 	w.sm.freeWarps = append(w.sm.freeWarps, w)
 	cta.warpDone(t)
 }

@@ -1,7 +1,11 @@
 package gpucore
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/isa"
@@ -34,7 +38,7 @@ func (p *sinkPort) Access(now sim.Tick, req memory.Request) sim.Tick {
 	return now + p.lat
 }
 
-func newRig(t *testing.T, sms int, memLat sim.Tick) *testRig {
+func newRig(t testing.TB, sms int, memLat sim.Tick) *testRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := config.GPUConfig{
@@ -109,6 +113,21 @@ func TestCoalescingUnitStride(t *testing.T) {
 	if got := r.g.Ctr.Get("gpu.mem_transactions"); got != 1 {
 		t.Fatalf("unit-stride transactions = %d, want 1", got)
 	}
+	checkCompiledLines(t, uniform(32, func(lane int) isa.Trace {
+		return isa.Trace{{Kind: isa.OpLoad, Addr: memory.Addr(lane * 4), N: 4}}
+	}), 1)
+}
+
+// checkCompiledLines compiles CTA 0 of gen and checks its single memory
+// instruction carries want coalesced lines.
+func checkCompiledLines(t *testing.T, gen func(int) []isa.Trace, want int) {
+	t.Helper()
+	var c compiler
+	p := c.compile(gen(0), 32, 128)
+	code, lines := p.warp(0)
+	if len(code) != 1 || !isMem(code[0].kind) || int(code[0].n) != want || len(lines) != want {
+		t.Fatalf("compiled %+v with %d lines, want one memory op of %d lines", code, len(lines), want)
+	}
 }
 
 func TestCoalescingScattered(t *testing.T) {
@@ -123,6 +142,9 @@ func TestCoalescingScattered(t *testing.T) {
 	if got := r.g.Ctr.Get("gpu.mem_transactions"); got != 32 {
 		t.Fatalf("scattered transactions = %d, want 32", got)
 	}
+	checkCompiledLines(t, uniform(32, func(lane int) isa.Trace {
+		return isa.Trace{{Kind: isa.OpLoad, Addr: memory.Addr(lane * 128), N: 4}}
+	}), 32)
 }
 
 func TestMisalignmentDoublesTransactions(t *testing.T) {
@@ -338,4 +360,313 @@ func TestLaunchValidation(t *testing.T) {
 		}
 	}()
 	r.g.Launch(0, &Kernel{Name: "bad", CTAs: 0, ThreadsPerTA: 32})
+}
+
+// The reference SIMT walk: lane cursors stepped one issue slot at a time,
+// with per-op coalescing, written independently of the compiler. The
+// property test below holds compile to it.
+
+type laneCursor struct {
+	tr  isa.Trace
+	idx int
+}
+
+func (lc *laneCursor) done() bool { return lc.idx >= len(lc.tr) }
+
+// refSlot is one issue slot of the reference walk.
+type refSlot struct {
+	kind  isa.OpKind
+	maxN  uint32
+	sum   uint64
+	lines []memory.Addr
+}
+
+// refWarp walks one warp's lanes: the lowest-numbered unfinished lane
+// leads and every unfinished lane at an op of the same kind advances.
+func refWarp(traces []isa.Trace, lineBytes int) []refSlot {
+	var lanes []laneCursor
+	for _, tr := range traces {
+		lanes = append(lanes, laneCursor{tr: tr})
+	}
+	var out []refSlot
+	for {
+		lead := -1
+		for i := range lanes {
+			if !lanes[i].done() {
+				lead = i
+				break
+			}
+		}
+		if lead < 0 {
+			return out
+		}
+		slot := refSlot{kind: lanes[lead].tr[lanes[lead].idx].Kind}
+		switch slot.kind {
+		case isa.OpCompute:
+			for i := range lanes {
+				lc := &lanes[i]
+				if !lc.done() && lc.tr[lc.idx].Kind == isa.OpCompute {
+					slot.maxN = max(slot.maxN, lc.tr[lc.idx].N)
+					slot.sum += uint64(lc.tr[lc.idx].N)
+					lc.idx++
+				}
+			}
+		case isa.OpSync, isa.OpScratch:
+			advanceLanes(lanes, slot.kind)
+		default:
+			slot.lines = coalesce(nil, lanes, slot.kind, lineBytes)
+		}
+		out = append(out, slot)
+	}
+}
+
+// coalesce advances every lane whose next op matches kind and appends that
+// op's unique line addresses to buf.
+func coalesce(buf []memory.Addr, lanes []laneCursor, kind isa.OpKind, lineBytes int) []memory.Addr {
+	base := len(buf)
+	for i := range lanes {
+		lc := &lanes[i]
+		if lc.done() || lc.tr[lc.idx].Kind != kind {
+			continue
+		}
+		op := lc.tr[lc.idx]
+		lc.idx++
+		n := memory.LinesSpanned(op.Addr, int(op.N), lineBytes)
+		for j := 0; j < n; j++ {
+			a := memory.LineAddr(op.Addr, lineBytes) + memory.Addr(j*lineBytes)
+			dup := false
+			for _, l := range buf[base:] {
+				if l == a {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				buf = append(buf, a)
+			}
+		}
+	}
+	return buf
+}
+
+// advanceLanes advances every lane whose next op matches kind.
+func advanceLanes(lanes []laneCursor, kind isa.OpKind) {
+	for i := range lanes {
+		lc := &lanes[i]
+		if !lc.done() && lc.tr[lc.idx].Kind == kind {
+			lc.idx++
+		}
+	}
+}
+
+// randomCTA builds lane traces that are ragged (lanes stop at different
+// points, some are empty), divergent (lanes stray from a shared template)
+// and barrier-laden, over a small address range so coalescing merges and
+// spans lines. lanes need not be a multiple of the warp size.
+func randomCTA(rng *rand.Rand) []isa.Trace {
+	kinds := []isa.OpKind{isa.OpCompute, isa.OpLoad, isa.OpLoadDep, isa.OpStore, isa.OpAtomic, isa.OpScratch, isa.OpSync}
+	randOp := func(lane int) isa.Op {
+		k := kinds[rng.Intn(len(kinds))]
+		switch k {
+		case isa.OpCompute:
+			return isa.Op{Kind: k, N: uint32(rng.Intn(40))}
+		case isa.OpScratch:
+			return isa.Op{Kind: k, N: 4}
+		case isa.OpSync:
+			return isa.Op{Kind: k}
+		}
+		return isa.Op{Kind: k, Addr: memory.Addr(rng.Intn(2048) + lane*4*rng.Intn(2)), N: uint32(1 + rng.Intn(300))}
+	}
+	template := make([]isa.Op, rng.Intn(24))
+	for j := range template {
+		template[j] = randOp(0)
+	}
+	out := make([]isa.Trace, 1+rng.Intn(100))
+	for lane := range out {
+		n := len(template)
+		if rng.Intn(4) == 0 {
+			n = rng.Intn(n + 1)
+		}
+		tr := make(isa.Trace, 0, n)
+		for j := 0; j < n; j++ {
+			op := template[j]
+			if rng.Intn(5) == 0 {
+				op = randOp(lane)
+			} else if isMem(op.Kind) {
+				op.Addr += memory.Addr(lane * 4)
+			}
+			tr = append(tr, op)
+		}
+		out[lane] = tr
+	}
+	return out
+}
+
+// TestCompileMatchesLaneWalk checks, for random lane traces, that every
+// warp's compiled instructions, lines, FLOP sums and transaction counts
+// equal the reference lane-cursor walk's.
+func TestCompileMatchesLaneWalk(t *testing.T) {
+	var c compiler // reused across CTAs, as a kernel reuses it
+	f := func(seed int64, small bool) bool {
+		traces := randomCTA(rand.New(rand.NewSource(seed)))
+		warpsz := 32
+		if small {
+			warpsz = 8
+		}
+		p := c.compile(traces, warpsz, 128)
+		nw := (len(traces) + warpsz - 1) / warpsz
+		if len(p.at) != nw+1 {
+			t.Logf("seed %d: %d warp offsets for %d warps", seed, len(p.at), nw)
+			return false
+		}
+		for wi := 0; wi < nw; wi++ {
+			code, lines := p.warp(wi)
+			ref := refWarp(traces[wi*warpsz:min((wi+1)*warpsz, len(traces))], 128)
+			if len(code) != len(ref) {
+				t.Logf("seed %d warp %d: %d instructions, reference %d", seed, wi, len(code), len(ref))
+				return false
+			}
+			for j, in := range code {
+				r := ref[j]
+				ok := in.kind == r.kind
+				switch {
+				case in.kind == isa.OpCompute:
+					ok = ok && in.n == r.maxN && in.sum == r.sum
+				case isMem(in.kind):
+					ok = ok && int(in.n) == len(r.lines) && slices.Equal(lines[:in.n], r.lines)
+					lines = lines[in.n:]
+				default:
+					ok = ok && in.n == 0 && in.sum == 0
+				}
+				if !ok {
+					t.Logf("seed %d warp %d inst %d: %+v, reference %+v", seed, wi, j, in, r)
+					return false
+				}
+			}
+			if len(lines) != 0 {
+				t.Logf("seed %d warp %d: %d lines left over", seed, wi, len(lines))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompiledReplayMatchesLaneWalkCounters runs random CTAs through the
+// timing model and checks the transaction and FLOP counters equal the
+// reference walk's totals.
+func TestCompiledReplayMatchesLaneWalkCounters(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		traces := randomCTA(rand.New(rand.NewSource(seed)))
+		var wantTx, wantFLOPs uint64
+		for lo := 0; lo < len(traces); lo += 32 {
+			for _, r := range refWarp(traces[lo:min(lo+32, len(traces))], 128) {
+				wantTx += uint64(len(r.lines))
+				wantFLOPs += r.sum
+			}
+		}
+		r := newRig(t, 1, 50*sim.Nanosecond)
+		_, flops := runKernel(t, r, &Kernel{
+			Name: "rand", CTAs: 1, ThreadsPerTA: len(traces),
+			Gen: func(int) []isa.Trace { return traces },
+		})
+		if got := r.g.Ctr.Get("gpu.mem_transactions"); got != wantTx {
+			t.Fatalf("seed %d: %d transactions, reference %d", seed, got, wantTx)
+		}
+		if flops != wantFLOPs || r.g.Ctr.Get("gpu.flops") != wantFLOPs {
+			t.Fatalf("seed %d: %d flops, reference %d", seed, flops, wantFLOPs)
+		}
+	}
+}
+
+// TestInstStaysCompact pins the compiled instruction at 16 bytes: programs
+// are what the parallel engine's window and the resident CTAs hold live.
+func TestInstStaysCompact(t *testing.T) {
+	if got := unsafe.Sizeof(inst{}); got != 16 {
+		t.Fatalf("inst is %d bytes, want 16", got)
+	}
+}
+
+// kmeansCTA is a 256-lane CTA shaped like the kmeans assignment kernel:
+// per feature a unit-stride load and a few FLOPs, then one store.
+func kmeansCTA() []isa.Trace {
+	out := make([]isa.Trace, 256)
+	for lane := range out {
+		var tr isa.Trace
+		for f := 0; f < 34; f++ {
+			tr = append(tr,
+				isa.Op{Kind: isa.OpLoad, Addr: memory.Addr(f*256*4 + lane*4), N: 4},
+				isa.Op{Kind: isa.OpCompute, N: 3})
+		}
+		out[lane] = append(tr, isa.Op{Kind: isa.OpStore, Addr: memory.Addr(1<<20 + lane*4), N: 4})
+	}
+	return out
+}
+
+// compiled keeps BenchmarkCompileCTA's result live.
+var compiled *program
+
+// BenchmarkCompileCTA measures compiling one 256-lane CTA with warm
+// compiler scratch.
+func BenchmarkCompileCTA(b *testing.B) {
+	traces := kmeansCTA()
+	var c compiler
+	c.compile(traces, 32, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compiled = c.compile(traces, 32, 128)
+	}
+}
+
+// replayRig holds one resident CTA on SM 0 whose warp replays prog.
+type replayRig struct {
+	r    *testRig
+	cs   *ctaState
+	prog *program
+}
+
+func newReplayRig(t testing.TB) *replayRig {
+	r := newRig(t, 1, 100*sim.Nanosecond)
+	var c compiler
+	s := r.g.sms[0]
+	k := &Kernel{Name: "replay", CTAs: 1, ThreadsPerTA: 32}
+	return &replayRig{r: r, cs: &ctaState{sm: s, k: k, fl: &k.flops}, prog: c.compile(kmeansCTA()[:32], 32, 128)}
+}
+
+// run replays warp 0 of the program to completion on a pooled warp.
+func (rr *replayRig) run() {
+	s, cs := rr.cs.sm, rr.cs
+	cs.liveWarps, cs.k.live = 1, 1
+	s.liveCTAs++
+	s.liveWarps++
+	wp := s.takeWarp(cs, rr.r.eng.Now())
+	wp.code, wp.lines = rr.prog.warp(0)
+	rr.r.eng.AtD(sim.DomainGPU, rr.r.eng.Now(), wp.stepFn)
+	rr.r.eng.Run()
+}
+
+// TestWarpReplayZeroAlloc checks a warm, pooled warp replays a compiled
+// program without allocating.
+func TestWarpReplayZeroAlloc(t *testing.T) {
+	rr := newReplayRig(t)
+	rr.run()
+	if n := testing.AllocsPerRun(100, rr.run); n != 0 {
+		t.Fatalf("warp replay allocates %.1f times per program", n)
+	}
+}
+
+// BenchmarkWarpReplay measures replaying one warp's compiled program (34
+// load+compute pairs and a store) on a warm, pooled warp.
+func BenchmarkWarpReplay(b *testing.B) {
+	rr := newReplayRig(b)
+	rr.run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rr.run()
+	}
 }

@@ -175,8 +175,8 @@ type Spec struct {
 	// request that produced it. It never affects results.
 	RequestID string
 	// Parallel is the intra-run worker count (timing thread included):
-	// 0 or 1 runs the serial engine, 2+ pipelines trace generation and
-	// pre-processing through device.WithParallel. Like a sweep's jobs
+	// 0 or 1 runs the serial engine, 2+ pipelines CTA generation and
+	// compilation on one worker through device.WithParallel. Like a sweep's jobs
 	// count it is a scheduling knob, excluded from run keys: results,
 	// counters, traces, and run records are byte-identical for
 	// every value.

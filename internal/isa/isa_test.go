@@ -35,8 +35,9 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestOpStaysCompact(t *testing.T) {
-	// The trace format must stay compact: lazily generated per-CTA traces
-	// are the simulator's main memory consumer.
+	// The trace format must stay compact: every op a kernel lane records
+	// is written to the launch's lane arena and read once by the CTA
+	// compiler, so its size sets the recording path's memory traffic.
 	var op Op
 	if got := unsafe.Sizeof(op); got > 16 {
 		t.Fatalf("Op is %d bytes, want <= 16", got)

@@ -15,7 +15,12 @@ var (
 	mWindowEvents = metrics.Default.Histogram("sim_engine_window_events",
 		"Jobs admitted per parallel-engine flow-control window.",
 		metrics.LogBuckets(1, 512, 4))
-	mFallback = metrics.Default.CounterVec("sim_engine_serial_fallback_total",
+	mStall = metrics.Default.HistogramVec("sim_engine_stall_seconds",
+		"Waits of the parallel engine's pipeline: side=timing blocked for the next CTA program, side=gen blocked on a full window.",
+		metrics.LogBuckets(1e-6, 10, 2), "side")
+	mStallTiming = mStall.With("timing")
+	mStallGen    = mStall.With("gen")
+	mFallback    = metrics.Default.CounterVec("sim_engine_serial_fallback_total",
 		"Runs (or kernels) that fell back to the serial engine despite a parallel request, by reason.",
 		"reason")
 

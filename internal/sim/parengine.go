@@ -9,29 +9,30 @@
 // collapses to a single event. What CAN leave the timing thread without
 // perturbing the (when, seq) total order is the work that produces
 // events' inputs rather than consuming simulated time: functional trace
-// generation (running kernel code to record lane traces) and trace
-// pre-processing (footprint accounting, address coalescing). ParEngine
-// runs those on worker goroutines, pipelined ahead of the timing clock
-// inside a bounded window, and the timing thread consumes their results
-// in exactly the order the serial engine would have produced them — so
-// results, counters, traces, and run records stay byte-identical to the
-// serial engine for every worker count.
+// generation (running kernel code to record lane traces) and compiling
+// those traces into warp programs (SIMT merge, address coalescing).
+// ParEngine runs that work on one generation worker, pipelined ahead of
+// the timing clock inside a bounded window, and the timing thread
+// consumes the results in exactly the order the serial engine would have
+// produced them — so results, counters, traces, and run records stay
+// byte-identical to the serial engine for every worker count.
 //
-// Domains partition scheduled events for accounting (Engine.AtD), and
-// two of them — DomainGen and DomainPre — execute off-thread. A run
-// whose configuration admits no safe window (zero lookahead) or whose
-// workload breaks the generation-order guarantee (persistent kernels,
-// whose batch dispatch interleaves timing-dependently) falls back to
-// the serial path and says so in sim_engine_serial_fallback_total.
+// Domains partition scheduled events for accounting (Engine.AtD);
+// DomainGen is the off-thread one. A run whose configuration admits no
+// safe window (zero lookahead) or whose workload breaks the
+// generation-order guarantee (persistent kernels, whose batch dispatch
+// interleaves timing-dependently) falls back to the serial path and says
+// so in sim_engine_serial_fallback_total.
 package sim
 
 import (
 	"sync"
+	"time"
 )
 
 // Domain identifies which component model an event (or off-thread job)
-// belongs to. The timing domains share one serial engine; Gen and Pre
-// are the off-thread pipeline stages of the parallel engine.
+// belongs to. The timing domains share one serial engine; Gen is the
+// parallel engine's off-thread stage.
 type Domain uint8
 
 const (
@@ -51,11 +52,9 @@ const (
 	// DomainVM is address translation and page-fault handling. Like
 	// DomainMem it is synchronous and schedules no events.
 	DomainVM
-	// DomainGen is off-thread functional trace generation.
+	// DomainGen is off-thread functional trace generation and warp
+	// program compilation.
 	DomainGen
-	// DomainPre is off-thread trace pre-processing (address-coalescing
-	// plans).
-	DomainPre
 
 	// NumDomains sizes per-domain accounting arrays.
 	NumDomains
@@ -78,8 +77,6 @@ func (d Domain) String() string {
 		return "vm"
 	case DomainGen:
 		return "gen"
-	case DomainPre:
-		return "pre"
 	default:
 		return "domain?"
 	}
@@ -111,16 +108,13 @@ func (r FallbackReason) String() string {
 	return "persistent-kernel"
 }
 
-// ParEngine owns the worker goroutines of one parallel run: a single
+// ParEngine owns the worker goroutine of one parallel run: a single
 // generation worker, which executes submitted jobs strictly in
-// submission order (preserving the serial engine's generation order),
-// and zero or more pre-processing workers fed by the generation worker.
-// par counts total workers including the timing loop: 2 = timing + gen,
-// 3+ adds pre workers. Build with NewParEngine; Release must be called
-// when the run ends (the harness defers it) so a panicking run cannot
-// leak goroutines.
+// submission order (preserving the serial engine's generation order).
+// Every par of 2 and up runs the timing thread plus that one worker.
+// Build with NewParEngine; Release must be called when the run ends (the
+// harness defers it) so a panicking run cannot leak the goroutine.
 type ParEngine struct {
-	par       int
 	window    int
 	lookahead Tick
 
@@ -131,13 +125,10 @@ type ParEngine struct {
 	genMu   sync.Mutex
 	genCond sync.Cond
 	genQ    []func()
-
-	pre     []chan func()
-	preNext int // round-robin cursor; generation worker only
 }
 
-// NewParEngine builds the worker set for one run. par < 2 returns nil
-// (serial run, no workers); window bounds how many jobs each Stream may
+// NewParEngine builds the worker for one run. par < 2 returns nil
+// (serial run, no worker); window bounds how many jobs each Stream may
 // run ahead of its consumer; lookahead is the config-derived window
 // width recorded for diagnostics (callers must not construct a
 // ParEngine when it is zero — that is the serial fallback).
@@ -148,21 +139,12 @@ func NewParEngine(par, window int, lookahead Tick) *ParEngine {
 	if window < 1 {
 		window = 1
 	}
-	p := &ParEngine{par: par, window: window, lookahead: lookahead, dead: make(chan struct{})}
+	p := &ParEngine{window: window, lookahead: lookahead, dead: make(chan struct{})}
 	p.genCond.L = &p.genMu
 	p.wg.Add(1)
 	go p.genWorker()
-	for i := 2; i < par; i++ {
-		ch := make(chan func(), window)
-		p.pre = append(p.pre, ch)
-		p.wg.Add(1)
-		go p.preWorker(ch)
-	}
 	return p
 }
-
-// Par reports the total worker count (including the timing loop).
-func (p *ParEngine) Par() int { return p.par }
 
 // Window reports the per-stream flow-control window.
 func (p *ParEngine) Window() int { return p.window }
@@ -170,12 +152,9 @@ func (p *ParEngine) Window() int { return p.window }
 // Lookahead reports the config-derived lookahead width.
 func (p *ParEngine) Lookahead() Tick { return p.lookahead }
 
-// PreWorkers reports how many pre-processing workers run (par - 2).
-func (p *ParEngine) PreWorkers() int { return len(p.pre) }
-
-// Release shuts the workers down and waits for them to exit. Idempotent
-// and safe to call while jobs are in flight: workers abandon blocked
-// hand-offs when the engine dies.
+// Release shuts the worker down and waits for it to exit. Idempotent and
+// safe to call while jobs are in flight: the worker abandons a blocked
+// hand-off when the engine dies.
 func (p *ParEngine) Release() {
 	p.closeOnce.Do(func() {
 		close(p.dead)
@@ -210,18 +189,6 @@ func (p *ParEngine) genWorker() {
 	}
 }
 
-func (p *ParEngine) preWorker(ch chan func()) {
-	defer p.wg.Done()
-	for {
-		select {
-		case fn := <-ch:
-			fn()
-		case <-p.dead:
-			return
-		}
-	}
-}
-
 // gen enqueues fn for the generation worker. The queue is unbounded:
 // submissions happen at launch events on the timing thread and must
 // never block it (a blocked timing thread could never consume the
@@ -231,17 +198,6 @@ func (p *ParEngine) gen(fn func()) {
 	p.genQ = append(p.genQ, fn)
 	p.genMu.Unlock()
 	p.genCond.Signal()
-}
-
-// preSubmit hands fn to pre worker w, abandoning the hand-off if the
-// engine dies first. Reports whether the job was delivered.
-func (p *ParEngine) preSubmit(w int, fn func()) bool {
-	select {
-	case p.pre[w] <- fn:
-		return true
-	case <-p.dead:
-		return false
-	}
 }
 
 // Result is one pipelined job's outcome: its value, or the panic that
@@ -271,24 +227,46 @@ func (p *ParEngine) NewStream() *Stream {
 }
 
 // Next blocks for the oldest unconsumed job's result. A job that
-// panicked re-panics here with the original value.
+// panicked re-panics here with the original value. Time spent waiting is
+// the timing side of sim_engine_stall_seconds.
 func (st *Stream) Next() any {
-	r := <-<-st.slots
+	r := recv(recv(st.slots))
 	if r.panicVal != nil {
 		panic(r.panicVal)
 	}
 	return r.V
 }
 
+// recv receives from ch, counting any time it blocks as a timing-side
+// stall.
+func recv[T any](ch chan T) T {
+	select {
+	case v := <-ch:
+		return v
+	default:
+	}
+	t0 := time.Now()
+	v := <-ch
+	mStallTiming.Observe(time.Since(t0).Seconds())
+	return v
+}
+
 // push admits the next job slot, blocking while the window is full (the
-// producer may run at most Window jobs ahead of the consumer). Returns
-// false when the engine died instead.
+// producer may run at most Window jobs ahead of the consumer); that wait
+// is the gen side of sim_engine_stall_seconds. Returns false when the
+// engine died instead.
 func (st *Stream) push() (chan Result, bool) {
 	slot := make(chan Result, 1)
 	select {
 	case st.slots <- slot:
-	case <-st.p.dead:
-		return nil, false
+	default:
+		t0 := time.Now()
+		select {
+		case st.slots <- slot:
+		case <-st.p.dead:
+			return nil, false
+		}
+		mStallGen.Observe(time.Since(t0).Seconds())
 	}
 	st.admitted++
 	if st.admitted == st.p.window {
@@ -318,17 +296,13 @@ func capture(fn func() any) (r Result) {
 	return Result{V: fn()}
 }
 
-// Pipeline runs n ordered jobs through the worker set and returns the
-// stream their results arrive on. gen(i) runs on the generation worker,
-// strictly in i order across every Pipeline call on this engine — the
-// property that keeps functional generation in serial order. When pre
-// workers exist and pre is non-nil, each gen result is then transformed
-// by pre(worker, i, v) on a round-robin pre worker; per-job order is
-// restored by the stream, so pre jobs may complete out of order. The
-// consumer must call Next exactly once per job, in order. A job that
-// panics poisons the pipeline: its panic ships to the consumer and no
-// later job of this Pipeline runs.
-func (p *ParEngine) Pipeline(n int, gen func(i int) any, pre func(worker, i int, v any) any) *Stream {
+// Pipeline runs n ordered jobs on the generation worker and returns the
+// stream their results arrive on. gen(i) runs strictly in i order across
+// every Pipeline call on this engine — the property that keeps functional
+// generation in serial order. The consumer must call Next exactly once
+// per job, in order. A job that panics poisons the pipeline: its panic
+// ships to the consumer and no later job of this Pipeline runs.
+func (p *ParEngine) Pipeline(n int, gen func(i int) any) *Stream {
 	st := p.NewStream()
 	p.gen(func() {
 		defer st.flushWindow()
@@ -338,32 +312,10 @@ func (p *ParEngine) Pipeline(n int, gen func(i int) any, pre func(worker, i int,
 				return
 			}
 			r := capture(func() any { return gen(i) })
+			slot <- r
 			if r.panicVal != nil {
-				slot <- r
 				return
 			}
-			if pre != nil && len(p.pre) > 0 {
-				w, i, v := p.preNext, i, r.V
-				p.preNext++
-				if p.preNext == len(p.pre) {
-					p.preNext = 0
-				}
-				if !p.preSubmit(w, func() {
-					slot <- capture(func() any { return pre(w, i, v) })
-				}) {
-					return
-				}
-				continue
-			}
-			if pre != nil {
-				r = capture(func() any { return pre(0, i, r.V) })
-				slot <- r
-				if r.panicVal != nil {
-					return
-				}
-				continue
-			}
-			slot <- r
 		}
 	})
 	return st

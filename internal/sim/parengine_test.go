@@ -17,19 +17,15 @@ func TestPipelineOrder(t *testing.T) {
 			defer p.Release()
 			const n = 200
 			genSeen := 0
-			st := p.Pipeline(n,
-				func(i int) any {
-					if genSeen != i {
-						// Runs on the single gen worker, so no lock needed;
-						// the failure value ships through the result.
-						return -1
-					}
-					genSeen++
-					return i
-				},
-				func(worker, i int, v any) any { return v.(int) * 10 })
-			// pre runs even without pre workers (inline on the gen worker),
-			// so the transform applies at every par.
+			st := p.Pipeline(n, func(i int) any {
+				if genSeen != i {
+					// Runs on the single gen worker, so no lock needed;
+					// the failure value ships through the result.
+					return -1
+				}
+				genSeen++
+				return i * 10
+			})
 			for i := 0; i < n; i++ {
 				if got := st.Next().(int); got != i*10 {
 					t.Fatalf("job %d: got %d, want %d", i, got, i*10)
@@ -39,11 +35,12 @@ func TestPipelineOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineNilPre checks the pre=nil path delivers gen results directly.
+// TestPipelineNilPre checks gen results arrive unchanged at par=4, which
+// runs the same single gen worker as par=2.
 func TestPipelineNilPre(t *testing.T) {
 	p := NewParEngine(4, 8, Nanosecond)
 	defer p.Release()
-	st := p.Pipeline(10, func(i int) any { return i }, nil)
+	st := p.Pipeline(10, func(i int) any { return i })
 	for i := 0; i < 10; i++ {
 		if got := st.Next().(int); got != i {
 			t.Fatalf("job %d: got %d", i, got)
@@ -54,49 +51,40 @@ func TestPipelineNilPre(t *testing.T) {
 // TestPipelinePanicShips checks a panicking job re-panics on the consumer
 // with the original value, and that no later job of the pipeline runs.
 func TestPipelinePanicShips(t *testing.T) {
-	for _, stage := range []string{"gen", "pre"} {
-		t.Run(stage, func(t *testing.T) {
-			p := NewParEngine(3, 4, Nanosecond)
-			defer p.Release()
-			boom := fmt.Errorf("boom")
-			ran := make(chan int, 16)
-			gen := func(i int) any {
-				if stage == "gen" && i == 2 {
-					panic(boom)
-				}
-				ran <- i
-				return i
+	t.Run("gen", func(t *testing.T) {
+		p := NewParEngine(3, 4, Nanosecond)
+		defer p.Release()
+		boom := fmt.Errorf("boom")
+		ran := make(chan int, 16)
+		st := p.Pipeline(10, func(i int) any {
+			if i == 2 {
+				panic(boom)
 			}
-			pre := func(worker, i int, v any) any {
-				if stage == "pre" && i == 2 {
-					panic(boom)
-				}
-				return v
-			}
-			st := p.Pipeline(10, gen, pre)
-			for i := 0; i < 2; i++ {
-				if got := st.Next().(int); got != i {
-					t.Fatalf("job %d: got %d", i, got)
-				}
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != boom {
-						t.Fatalf("recovered %v, want the original panic value", r)
-					}
-				}()
-				st.Next()
-				t.Fatal("Next returned instead of panicking")
-			}()
-			p.Release()
-			close(ran)
-			for i := range ran {
-				if stage == "gen" && i > 2 {
-					t.Fatalf("gen %d ran after the poisoning panic", i)
-				}
-			}
+			ran <- i
+			return i
 		})
-	}
+		for i := 0; i < 2; i++ {
+			if got := st.Next().(int); got != i {
+				t.Fatalf("job %d: got %d", i, got)
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != boom {
+					t.Fatalf("recovered %v, want the original panic value", r)
+				}
+			}()
+			st.Next()
+			t.Fatal("Next returned instead of panicking")
+		}()
+		p.Release()
+		close(ran)
+		for i := range ran {
+			if i > 2 {
+				t.Fatalf("gen %d ran after the poisoning panic", i)
+			}
+		}
+	})
 }
 
 // TestReleaseUnblocksProducer checks Release frees a pump blocked on a full
@@ -104,7 +92,7 @@ func TestPipelinePanicShips(t *testing.T) {
 // (budget trip, interrupt) must not leak or deadlock workers.
 func TestReleaseUnblocksProducer(t *testing.T) {
 	p := NewParEngine(4, 2, Nanosecond)
-	p.Pipeline(100, func(i int) any { return i }, nil) // never consumed
+	p.Pipeline(100, func(i int) any { return i }) // never consumed
 	done := make(chan struct{})
 	go func() {
 		p.Release()
@@ -127,15 +115,32 @@ func TestSerialParEngineNil(t *testing.T) {
 	}
 }
 
-// TestPreWorkerCount checks the worker split: par counts the timing thread,
-// one gen worker, and the rest pre workers.
-func TestPreWorkerCount(t *testing.T) {
-	for par, want := range map[int]int{2: 0, 3: 1, 4: 2, 8: 6} {
-		p := NewParEngine(par, 8, Nanosecond)
-		if got := p.PreWorkers(); got != want {
-			t.Errorf("par=%d: PreWorkers=%d, want %d", par, got, want)
+// TestStallAccounting checks both sides of sim_engine_stall_seconds: the
+// consumer waiting on an unfinished job is a timing stall, the producer
+// waiting on a full window a gen stall.
+func TestStallAccounting(t *testing.T) {
+	timing0, gen0 := mStallTiming.Count(), mStallGen.Count()
+	p := NewParEngine(2, 1, Nanosecond)
+	defer p.Release()
+	release, ran1 := make(chan struct{}), make(chan struct{})
+	st := p.Pipeline(3, func(i int) any {
+		switch i {
+		case 0:
+			<-release
+		case 1:
+			close(ran1)
 		}
-		p.Release()
+		return i
+	})
+	time.AfterFunc(10*time.Millisecond, func() { close(release) })
+	st.Next() // job 0 is held: the consumer waits
+	<-ran1
+	time.Sleep(20 * time.Millisecond)
+	st.Next() // meanwhile job 2 waits on the window job 1 fills
+	st.Next()
+	if mStallTiming.Count() == timing0 || mStallGen.Count() == gen0 {
+		t.Fatalf("stalls timing %d->%d, gen %d->%d; want both to grow",
+			timing0, mStallTiming.Count(), gen0, mStallGen.Count())
 	}
 }
 
@@ -149,9 +154,7 @@ func TestStreamOrderProperty(t *testing.T) {
 		win := 1 + int(winRaw%9)
 		p := NewParEngine(par, win, Nanosecond)
 		defer p.Release()
-		st := p.Pipeline(n,
-			func(i int) any { return i },
-			func(worker, i int, v any) any { return v.(int) })
+		st := p.Pipeline(n, func(i int) any { return i })
 		for i := 0; i < n; i++ {
 			if st.Next().(int) != i {
 				return false
@@ -190,7 +193,7 @@ func TestScheduledByDomain(t *testing.T) {
 func TestDomainStrings(t *testing.T) {
 	want := map[Domain]string{
 		DomainHost: "host", DomainCPU: "cpu", DomainGPU: "gpu", DomainMem: "mem",
-		DomainPCIe: "pcie", DomainVM: "vm", DomainGen: "gen", DomainPre: "pre",
+		DomainPCIe: "pcie", DomainVM: "vm", DomainGen: "gen",
 	}
 	for d, s := range want {
 		if d.String() != s {
