@@ -108,7 +108,7 @@ func BenchmarkTable2(b *testing.B) {
 // Copy, No Memory Copy, Parallel (estimate), Parallel + Cache.
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, errs := experiments.Fig3(bench.SizeSmall, harness.Budget{})
+		rows, errs := experiments.Fig3(bench.SizeSmall, harness.Budget{}, 0)
 		if len(rows) != 5 || len(errs) != 0 {
 			b.Fatal("fig 3 needs 5 organizations")
 		}

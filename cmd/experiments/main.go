@@ -16,8 +16,9 @@
 // Figure 10 compares every measured overlapped organization against the
 // Eq. 1 Rco bound from its baseline run. The sweep's runs execute on
 // -jobs workers (default GOMAXPROCS), and -par additionally parallelizes
-// each run internally (trace generation pipelined against the timing
-// model); output is byte-identical for every -jobs and -par value.
+// each run internally — the sweep's, Figure 3's and the fault matrix's
+// (trace generation pipelined against the timing model); output is
+// byte-identical for every -jobs and -par value.
 // Sweeps are fault-tolerant: a run that panics, deadlocks, or exceeds its
 // -timeout/-max-events budget is recorded and footnoted in the figures
 // instead of aborting the sweep. -inject degrades the simulated hardware
@@ -190,13 +191,13 @@ func run() int {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr, "running fault-injection sweep (baseline + injected per case)...")
 		}
-		fmt.Println(experiments.FaultSweepText(experiments.FaultSweep(size, budget)))
+		fmt.Println(experiments.FaultSweepText(experiments.FaultSweep(size, budget, *par)))
 	}
 	if sel("fig3") {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr, "running kmeans case study (4 organizations)...")
 		}
-		rows, errs := experiments.Fig3(size, budget)
+		rows, errs := experiments.Fig3(size, budget, *par)
 		fmt.Println(experiments.Fig3Text(rows, errs))
 	}
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/memory"
@@ -13,8 +11,9 @@ import (
 // tables must stay dense there, not only near address 0.
 const gpuBase = memory.Addr(4 << 30)
 
-// BenchmarkCollectorTouch measures the footprint recorder on its hottest
-// shape: a kernel streaming 4-byte element accesses through a 1 MiB buffer.
+// BenchmarkCollectorTouch measures the footprint recorder on a stream of
+// 4-byte element accesses through a 1 MiB buffer, the shape a CPU task's
+// trace touches it with.
 func BenchmarkCollectorTouch(b *testing.B) {
 	c := NewCollector(128, 179e9)
 	const span = 1 << 20
@@ -70,40 +69,5 @@ func TestObserveZeroAlloc(t *testing.T) {
 		cl.Observe(base+i%memory.TablePage, i%3 == 0, int(1+i/100))
 	}); a != 0 {
 		t.Fatalf("Observe allocates %.1f/op, want 0", a)
-	}
-}
-
-// TestMergedShardMatchesOneFootprint is the differential check behind the
-// parallel engine's footprint shard: touches split at random between the
-// collector and a shard, then merged, must partition exactly like the same
-// touches recorded into the collector alone.
-func TestMergedShardMatchesOneFootprint(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		whole := NewCollector(128, 179e9)
-		split := NewCollector(128, 179e9)
-		shard := NewFootprint(128)
-		for n := 0; n < 2000; n++ {
-			comp := stats.Component(rng.Intn(int(stats.NumComponents)))
-			base := memory.Addr(0)
-			if rng.Intn(2) == 1 {
-				base = gpuBase
-			}
-			addr := base + memory.Addr(rng.Intn(3*memory.TablePage*128))
-			size := 1 + rng.Intn(600)
-			whole.Touch(comp, addr, size)
-			if rng.Intn(2) == 0 {
-				split.Touch(comp, addr, size)
-			} else {
-				shard.Touch(comp, addr, size)
-			}
-		}
-		split.MergeFootprint(shard)
-		if got, want := split.FootprintBytes(), whole.FootprintBytes(); got != want {
-			t.Fatalf("seed %d: merged footprint %d bytes, one footprint %d", seed, got, want)
-		}
-		if got, want := split.FootprintPartition(), whole.FootprintPartition(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: merged partition %v, one footprint %v", seed, got, want)
-		}
 	}
 }

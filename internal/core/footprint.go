@@ -9,13 +9,12 @@ import (
 
 // Footprint is the Figure 4 footprint accumulator: for every line any
 // component touched, the set of components that touched it, in a dense
-// table indexed by line number. The collector owns the run's footprint;
-// the parallel engine's generation worker records into a private one (a
-// shard) that the run merges into the collector before reporting.
-// Footprint membership is a pure set union — which lines a component
-// touched, not when — so the shard needs no ordering relationship to the
-// timing clock, and the merge is a commutative per-line OR: the merged
-// footprint is identical for every worker count and schedule.
+// table indexed by line number. The collector owns the run's one
+// footprint, and every touch happens on the timing thread. Membership is a
+// pure set union — which lines a component touched, not when or how often
+// — so a recorder may touch a line once per use or once per distinct line
+// (the GPU touches each compiled CTA's coalesced lines at dispatch) and
+// the footprint comes out the same.
 type Footprint struct {
 	shift uint // log2 of the line size
 	lines memory.Table[stats.ComponentSet]
@@ -38,24 +37,14 @@ func (f *Footprint) Touch(comp stats.Component, addr memory.Addr, size int) {
 	}
 }
 
-// Footprint returns the collector's footprint: the one timing-thread
-// recorders touch directly.
+// Footprint returns the collector's footprint, for recorders that touch it
+// directly.
 func (c *Collector) Footprint() *Footprint { return c.foot }
 
 // Touch records that comp accessed [addr, addr+size), at line granularity,
 // for the Figure 4 footprint partition.
 func (c *Collector) Touch(comp stats.Component, addr memory.Addr, size int) {
 	c.foot.Touch(comp, addr, size)
-}
-
-// MergeFootprint ORs a worker shard into the collector's footprint. Call
-// only after the shard's owning worker has quiesced.
-func (c *Collector) MergeFootprint(sh *Footprint) {
-	sh.lines.Each(func(i uint64, set *stats.ComponentSet) {
-		if *set != 0 {
-			*c.foot.lines.At(i) |= *set
-		}
-	})
 }
 
 // FootprintBytes reports the total touched footprint.

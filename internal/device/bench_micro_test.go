@@ -50,21 +50,20 @@ func BenchmarkMemcpyRoundTrip(b *testing.B) {
 }
 
 // BenchmarkRecordCTA measures recording one 256-lane CTA (a unit-stride
-// load, a FLOP and a store per lane) into a warm launch arena, footprint
-// touches included.
+// load, a FLOP and a store per lane) into a warm launch arena.
 func BenchmarkRecordCTA(b *testing.B) {
 	s := NewSystem(config.HeteroProcessor())
 	buf := AllocBuf[float32](s, 1<<14, "b", Host)
-	rec := newLaneRecorder(s, 256, func(t *Thread) {
+	rec := newLaneRecorder(256, func(t *Thread) {
 		v := Ld(t, buf, t.Global())
 		t.FLOP(1)
 		St(t, buf, t.Global(), v+1)
 	}, nil)
-	rec.gen(0, s.Col.Footprint())
+	rec.gen(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.gen(i%64, s.Col.Footprint())
+		rec.gen(i % 64)
 	}
 }
 
@@ -73,15 +72,13 @@ func BenchmarkRecordCTA(b *testing.B) {
 func TestRecordCTAZeroAlloc(t *testing.T) {
 	s := NewSystem(config.HeteroProcessor())
 	buf := AllocBuf[float32](s, 1<<12, "b", Host)
-	rec := newLaneRecorder(s, 64, func(t *Thread) {
+	rec := newLaneRecorder(64, func(t *Thread) {
 		t.FLOP(1)
 		St(t, buf, t.Global(), Ld(t, buf, t.Global()))
 	}, nil)
-	cta := 0
-	for ; cta < 64; cta++ {
-		rec.gen(cta, s.Col.Footprint()) // touch every page once
-	}
-	if n := testing.AllocsPerRun(50, func() { rec.gen(cta%64, s.Col.Footprint()); cta++ }); n != 0 {
+	rec.gen(0)
+	cta := 1
+	if n := testing.AllocsPerRun(50, func() { rec.gen(cta % 64); cta++ }); n != 0 {
 		t.Fatalf("recording a CTA allocates %.1f times", n)
 	}
 }

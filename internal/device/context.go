@@ -171,13 +171,13 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 	start := s.Eng.Now()
 	st := s.Col.StageBegin(core.StageKernel, k.Name, stats.GPU, launchStart, launchDur, start)
 	var children []KernelSpec
-	rec := newLaneRecorder(s, k.Block, k.Func, &children)
+	rec := newLaneRecorder(k.Block, k.Func, &children)
 	kern := &gpucore.Kernel{
 		Name:         k.Name,
 		CTAs:         k.Grid,
 		ThreadsPerTA: k.Block,
 		ScratchBytes: k.ScratchBytes,
-		Gen:          func(cta int) []isa.Trace { return rec.gen(cta, s.Col.Footprint()) },
+		Gen:          rec.gen,
 		Done: func(end sim.Tick, flops uint64) {
 			s.flushGPUL1s(end)
 			s.Col.StageEnd(st, end, flops, 0)
@@ -206,13 +206,6 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 				})
 			}
 		},
-	}
-	if s.par != nil {
-		// Off-thread generation. The generation worker's buffer reads and
-		// writes are ordered against the timing thread by the pipeline's
-		// result hand-off; footprint touches can't go to the collector from
-		// off-thread, so they go to the generation worker's shard.
-		kern.GenPar = func(cta int) []isa.Trace { return rec.gen(cta, s.genShard) }
 	}
 	s.gpu.Launch(start, kern)
 }
@@ -342,8 +335,14 @@ func (s *System) CPUTaskAsync(spec CPUTaskSpec, deps ...*Handle) *Handle {
 			var maxEnd sim.Tick
 			var totFLOPs uint64
 			for tid := 0; tid < spec.Threads; tid++ {
-				ct := &CPUThread{s: s, tid: tid, n: spec.Threads, tr: make(isa.Trace, 0, 1024)}
+				ct := &CPUThread{tid: tid, n: spec.Threads, tr: make(isa.Trace, 0, 1024)}
 				spec.Func(ct)
+				// The thread's Figure 4 footprint, from its recorded trace.
+				for _, op := range ct.tr {
+					if op.Kind.Mem() {
+						s.Col.Touch(stats.CPU, op.Addr, int(op.N))
+					}
+				}
 				s.runOnCore(&cpuWork{tr: ct.tr, done: func(end sim.Tick, flops uint64) {
 					if end > maxEnd {
 						maxEnd = end

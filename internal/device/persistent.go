@@ -3,7 +3,6 @@ package device
 import (
 	"repro/internal/core"
 	"repro/internal/gpucore"
-	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -49,12 +48,12 @@ func (s *System) LaunchPersistent(spec PersistentKernelSpec, deps ...*Handle) *P
 	p := &PersistentKernel{s: s, spec: spec}
 	p.opened = s.newHandle("persistent kernel " + spec.Name)
 	p.done = s.newHandle("persistent kernel " + spec.Name + " drain")
-	rec := newLaneRecorder(s, spec.Block, spec.Func, nil)
+	rec := newLaneRecorder(spec.Block, spec.Func, nil)
 	p.k = &gpucore.Kernel{
 		Name:         spec.Name,
 		ThreadsPerTA: spec.Block,
 		ScratchBytes: spec.ScratchBytes,
-		Gen:          func(cta int) []isa.Trace { return rec.gen(cta, s.Col.Footprint()) },
+		Gen:          rec.gen,
 		Done: func(end sim.Tick, flops uint64) {
 			s.flushGPUL1s(end)
 			p.done.complete(end)

@@ -64,11 +64,9 @@ type System struct {
 
 	// Intra-run parallel engine state. parReq is the requested worker count
 	// (WithParallel); par is nil for serial runs (including parallel
-	// requests that fell back); genShard is the generation worker's private
-	// footprint, merged into Col at Report time.
-	parReq   int
-	par      *sim.ParEngine
-	genShard *core.Footprint
+	// requests that fell back).
+	parReq int
+	par    *sim.ParEngine
 
 	// Result holds functional output digests the benchmark publishes with
 	// AddResult. Correctness tests compare digests across run modes (every
@@ -256,6 +254,7 @@ func NewSystemErr(cfg config.System, opts ...Option) (*System, error) {
 	}
 	s.gpu = gpucore.New(s.Eng, cfg.GPU, s.gpuL1s, s.vmm, line, s.Ctr)
 	s.gpu.Tr = s.Tr
+	s.gpu.Foot = s.Col.Footprint()
 
 	// Intra-run parallelism: derive the lookahead window from the config's
 	// minimum cross-domain latency; a zero window means no amount of
@@ -277,7 +276,6 @@ func NewSystemErr(cfg config.System, opts ...Option) (*System, error) {
 			}
 			s.par = sim.NewParEngine(s.parReq, window, la)
 			s.gpu.UsePar(s.par)
-			s.genShard = core.NewFootprint(line)
 		}
 	}
 
@@ -342,13 +340,10 @@ func (s *System) Release() {
 }
 
 // Report builds the analysis report for the finished run. For parallel
-// runs it first quiesces the workers and merges the generation worker's
-// footprint shard into the collector — a commutative, idempotent per-line
-// set union, so the merged footprint is identical for every worker count.
+// runs it first quiesces the workers.
 func (s *System) Report(bench, mode string) *core.Report {
 	if s.par != nil {
 		s.par.Release()
-		s.Col.MergeFootprint(s.genShard)
 	}
 	return core.BuildReport(s.Col, bench, s.Cfg.Kind.String(), mode,
 		s.Cfg.CPU.PeakFLOPs(), s.Cfg.GPU.PeakFLOPs())

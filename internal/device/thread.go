@@ -1,30 +1,23 @@
 package device
 
 import (
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/memory"
-	"repro/internal/stats"
 )
 
 // Rec is the access recorder shared by GPU threads and CPU task threads:
 // the typed helpers (Ld, St, AtomicAdd, ...) record through it while
 // performing the functional data access directly on the buffer slice.
+// Recording is all it does: the Figure 4 footprint is touched later, on
+// the timing thread, from what the timing models consume (a GPU CTA's
+// compiled lines at dispatch, a CPU thread's trace once its task body
+// returns).
 type Rec interface {
 	rec(op isa.Op)
-	// touch records [addr, addr+size) in the run's footprint (for GPU
-	// threads, Thread.foot). Footprint routing never changes what the
-	// timing model sees: the trace carries the same addresses either way.
-	touch(addr memory.Addr, size int)
-	sys() *System
 }
 
 // Thread is one GPU thread's execution context, passed to kernel functions.
 type Thread struct {
-	s *System
-	// foot receives the thread's footprint touches: the collector's
-	// footprint on the timing thread, the generation worker's shard off it.
-	foot   *core.Footprint
 	tr     isa.Trace
 	cta    int
 	lane   int // thread index within the CTA
@@ -82,11 +75,6 @@ func (t *Thread) ScratchOp(n int) {
 }
 
 func (t *Thread) rec(op isa.Op) { t.tr = append(t.tr, op) }
-func (t *Thread) sys() *System  { return t.s }
-
-func (t *Thread) touch(addr memory.Addr, size int) {
-	t.foot.Touch(stats.GPU, addr, size)
-}
 
 // laneRecorder runs a kernel body once per lane of a CTA, recording every
 // lane into one flat op arena that the launch reuses across its CTAs, so
@@ -101,20 +89,19 @@ type laneRecorder struct {
 // newLaneRecorder builds the recorder of one launch of fn with block
 // threads per CTA. children collects device-side launches; nil makes
 // LaunchChild panic, as it does outside a kernel.
-func newLaneRecorder(s *System, block int, fn func(t *Thread), children *[]KernelSpec) *laneRecorder {
+func newLaneRecorder(block int, fn func(t *Thread), children *[]KernelSpec) *laneRecorder {
 	return &laneRecorder{
-		t:     Thread{s: s, block: block, children: children},
+		t:     Thread{block: block, children: children},
 		fn:    fn,
 		ends:  make([]int, block),
 		lanes: make([]isa.Trace, block),
 	}
 }
 
-// gen records CTA cta's lane traces, routing footprint touches to foot.
-// The traces alias the arena: they are valid until the next gen call.
-func (r *laneRecorder) gen(cta int, foot *core.Footprint) []isa.Trace {
+// gen records CTA cta's lane traces. The traces alias the arena: they are
+// valid until the next gen call.
+func (r *laneRecorder) gen(cta int) []isa.Trace {
 	t := &r.t
-	t.foot = foot
 	t.cta = cta
 	t.tr = t.tr[:0]
 	for i := range r.lanes {
@@ -133,7 +120,6 @@ func (r *laneRecorder) gen(cta int, foot *core.Footprint) []isa.Trace {
 
 // CPUThread is one CPU software thread's execution context.
 type CPUThread struct {
-	s   *System
 	tr  isa.Trace
 	tid int
 	n   int
@@ -153,18 +139,12 @@ func (c *CPUThread) FLOP(n int) {
 }
 
 func (c *CPUThread) rec(op isa.Op) { c.tr = append(c.tr, op) }
-func (c *CPUThread) sys() *System  { return c.s }
-
-func (c *CPUThread) touch(addr memory.Addr, size int) {
-	c.s.Col.Touch(stats.CPU, addr, size)
-}
 
 // record is the common instrumentation path for typed accesses.
 func record[T any](q Rec, b *Buf[T], i int, kind isa.OpKind) {
 	es := b.ElemSize()
 	addr := b.A.Base + memory.Addr(i*es)
 	q.rec(isa.Op{Kind: kind, Addr: addr, N: uint32(es)})
-	q.touch(addr, es)
 }
 
 // LdN reads count consecutive elements of b starting at i as one access
@@ -176,7 +156,6 @@ func LdN[T any](q Rec, b *Buf[T], i, count int) []T {
 	es := b.ElemSize()
 	addr := b.A.Base + memory.Addr(i*es)
 	q.rec(isa.Op{Kind: isa.OpLoad, Addr: addr, N: uint32(count * es)})
-	q.touch(addr, count*es)
 	return b.V[i : i+count]
 }
 
@@ -189,7 +168,6 @@ func StN[T any](q Rec, b *Buf[T], i int, src []T) {
 	es := b.ElemSize()
 	addr := b.A.Base + memory.Addr(i*es)
 	q.rec(isa.Op{Kind: isa.OpStore, Addr: addr, N: uint32(len(src) * es)})
-	q.touch(addr, len(src)*es)
 	copy(b.V[i:], src)
 }
 

@@ -456,12 +456,14 @@ type Fig3Row struct {
 // Parallel + Cache (simulated chunked producer-consumer). Each organization
 // runs under the harness: a failed run is dropped from the rows and comes
 // back as a RunError for Fig3Text to footnote. If the Baseline itself fails
-// there is nothing to normalize against and no rows are returned.
-func Fig3(size bench.Size, budget harness.Budget) ([]Fig3Row, []harness.RunError) {
+// there is nothing to normalize against and no rows are returned. par is
+// each run's intra-run worker count (harness.Spec.Parallel); the rows are
+// identical for every value.
+func Fig3(size bench.Size, budget harness.Budget, par int) ([]Fig3Row, []harness.RunError) {
 	km, _ := bench.Get("rodinia/kmeans")
 	var errs []harness.RunError
 	run := func(m bench.Mode) *core.Report {
-		out := harness.Run(harness.Spec{Bench: km, Mode: m, Size: size, Budget: budget})
+		out := harness.Run(harness.Spec{Bench: km, Mode: m, Size: size, Budget: budget, Parallel: par})
 		if out.Err != nil {
 			errs = append(errs, *out.Err)
 			return nil

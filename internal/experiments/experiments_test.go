@@ -6,12 +6,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -71,7 +73,7 @@ func TestGeomean(t *testing.T) {
 // kmeans organizations must improve monotonically (the Parallel estimate
 // may only beat the simulated Parallel+Cache by the caching effect).
 func TestFig3Ordering(t *testing.T) {
-	rows, errs := Fig3(bench.SizeSmall, harness.Budget{})
+	rows, errs := Fig3(bench.SizeSmall, harness.Budget{}, 0)
 	if len(errs) != 0 {
 		t.Fatalf("unexpected failures: %v", errs)
 	}
@@ -102,6 +104,27 @@ func TestFig3Ordering(t *testing.T) {
 	}
 	if !strings.Contains(Fig3Text(rows, errs), "Parallel + Cache") {
 		t.Fatal("fig 3 text malformed")
+	}
+}
+
+// TestFig3ParallelMatchesSerial checks -exp fig3 honours -par: the rows at
+// Parallel 2 equal the serial rows, and the parallel engine really ran.
+func TestFig3ParallelMatchesSerial(t *testing.T) {
+	serial, errs := Fig3(bench.SizeSmall, harness.Budget{}, 0)
+	if len(errs) != 0 {
+		t.Fatalf("serial failures: %v", errs)
+	}
+	windows := func() float64 { return metrics.Default.Snapshot()["sim_engine_windows_total"] }
+	before := windows()
+	par, errs := Fig3(bench.SizeSmall, harness.Budget{}, 2)
+	if len(errs) != 0 {
+		t.Fatalf("parallel failures: %v", errs)
+	}
+	if !reflect.DeepEqual(par, serial) {
+		t.Fatalf("rows at Parallel 2 differ from serial:\n%+v\n%+v", par, serial)
+	}
+	if windows() == before {
+		t.Fatal("Fig3 at Parallel 2 never ran the parallel engine")
 	}
 }
 
@@ -408,7 +431,7 @@ func TestWriteJSON(t *testing.T) {
 // fault slows its victim down (directionally correct) while the Eq. 1 and
 // Eqs. 2-4 model outputs stay finite.
 func TestFaultSweep(t *testing.T) {
-	rows := FaultSweep(bench.SizeSmall, harness.Budget{})
+	rows := FaultSweep(bench.SizeSmall, harness.Budget{}, 0)
 	if len(rows) != len(FaultCases()) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(FaultCases()))
 	}

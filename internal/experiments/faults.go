@@ -79,8 +79,9 @@ func (fr *FaultRow) ModelsFinite() bool {
 
 // FaultSweep runs every fault case twice — nominal hardware and injected
 // fault — under the harness, so even a fault that wedges the simulated
-// machine terminates with a diagnostic instead of hanging the sweep.
-func FaultSweep(size bench.Size, budget harness.Budget) []FaultRow {
+// machine terminates with a diagnostic instead of hanging the sweep. par is
+// each run's intra-run worker count (harness.Spec.Parallel).
+func FaultSweep(size bench.Size, budget harness.Budget, par int) []FaultRow {
 	var rows []FaultRow
 	for _, fc := range FaultCases() {
 		b, ok := bench.Get(fc.Bench)
@@ -89,7 +90,7 @@ func FaultSweep(size bench.Size, budget harness.Budget) []FaultRow {
 		}
 		row := FaultRow{Case: fc}
 		run := func(plan *harness.FaultPlan) *core.Report {
-			out := harness.Run(harness.Spec{Bench: b, Mode: fc.Mode, Size: size, Budget: budget, Fault: plan})
+			out := harness.Run(harness.Spec{Bench: b, Mode: fc.Mode, Size: size, Budget: budget, Fault: plan, Parallel: par})
 			if out.Err != nil {
 				row.Errs = append(row.Errs, *out.Err)
 				return nil

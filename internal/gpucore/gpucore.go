@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/memory"
 	"repro/internal/sim"
@@ -38,14 +39,13 @@ type Kernel struct {
 	ScratchBytes int // scratch per CTA
 	// Gen lazily produces the lane traces for CTA cta (ThreadsPerTA traces).
 	// The traces may alias a buffer the generator reuses: they are valid
-	// until the next Gen (or GenPar) call of the same kernel. The GPU
-	// compiles them into a warp program before making that call.
+	// until the next Gen call of the same kernel. The GPU compiles them
+	// into a warp program before making that call. Gen runs on the timing
+	// thread for serial kernels and on the parallel engine's generation
+	// worker for pipelined ones, so it must be safe to run off-thread: it
+	// may not touch the engine or the collector. The footprint of the lines
+	// it accesses is recorded from the compiled program at dispatch.
 	Gen func(cta int) []isa.Trace
-	// GenPar, when set and the GPU has a parallel engine, generates CTA
-	// traces on the engine's generation worker instead of Gen on the timing
-	// thread. It must be safe to run off-thread (it may not touch the
-	// engine or collector) and must produce exactly what Gen would.
-	GenPar func(cta int) []isa.Trace
 	// Done fires when the last CTA completes. flops is the total FLOPs the
 	// kernel executed.
 	Done func(end sim.Tick, flops uint64)
@@ -103,6 +103,10 @@ type GPU struct {
 	// L1s[i] is SM i's private L1 (write-through no-allocate for stores).
 	L1s       []*memory.Cache
 	LineBytes int
+	// Foot, when non-nil, receives the Figure 4 footprint of every
+	// dispatched CTA: one touch per coalesced line of its program, on the
+	// timing thread.
+	Foot *core.Footprint
 
 	// Tr is the optional trace sink (nil-safe). Per-CTA spans are capped
 	// device-wide: big grids run tens of thousands of CTAs, and the first
@@ -225,18 +229,14 @@ func (g *GPU) Launch(at sim.Tick, k *Kernel) {
 // CTAs, in increasing index order, generate before a later kernel's
 // first).
 func (g *GPU) pipeline(k *Kernel) {
-	gen := k.GenPar
-	if gen == nil {
-		gen = k.Gen
-	}
-	k.stream = g.Par.Pipeline(k.CTAs, func(i int) any { return g.build(k, gen, i) })
+	k.stream = g.Par.Pipeline(k.CTAs, func(i int) any { return g.build(k, i) })
 }
 
-// build generates CTA cta with gen and compiles it: the one path from a
+// build generates CTA cta with k.Gen and compiles it: the one path from a
 // kernel's lane traces to a warp program. It runs on the timing thread for
 // serial kernels and on the generation worker for pipelined ones.
-func (g *GPU) build(k *Kernel, gen func(cta int) []isa.Trace, cta int) *program {
-	traces := gen(cta)
+func (g *GPU) build(k *Kernel, cta int) *program {
+	traces := k.Gen(cta)
 	if len(traces) != k.ThreadsPerTA {
 		panic("gpucore: Gen returned wrong lane count for kernel " + k.Name)
 	}
@@ -387,7 +387,15 @@ func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 		// exactly this CTA's program.
 		p = k.stream.Next().(*program)
 	} else {
-		p = s.g.build(k, k.Gen, ctaIdx)
+		p = s.g.build(k, ctaIdx)
+	}
+	if f := s.g.Foot; f != nil {
+		// The program's lines are exactly the distinct lines its lanes'
+		// memory ops span, so this is the set every lane access would
+		// have touched.
+		for _, a := range p.lines {
+			f.Touch(stats.GPU, a, s.g.LineBytes)
+		}
 	}
 	w := s.g.warpsNeeded(k)
 	cs := &ctaState{sm: s, k: k, fl: &k.flops, idx: ctaIdx, start: now, liveWarps: w}
@@ -477,11 +485,6 @@ type inst struct {
 	kind isa.OpKind
 }
 
-// isMem reports whether kind is a global-memory op.
-func isMem(kind isa.OpKind) bool {
-	return kind == isa.OpLoad || kind == isa.OpLoadDep || kind == isa.OpStore || kind == isa.OpAtomic
-}
-
 // program is one CTA compiled for replay: every warp's instructions end to
 // end in code, its coalesced lines end to end in lines, and warp w's share
 // starting at at[w] (the last entry closes the last warp).
@@ -553,11 +556,11 @@ func (c *compiler) warp(lanes []isa.Trace, lineBytes int) {
 			case in.kind == isa.OpCompute:
 				in.n = max(in.n, op.N)
 				in.sum += uint64(op.N)
-			case isMem(in.kind):
+			case in.kind.Mem():
 				c.coalesce(base, op, lineBytes)
 			}
 		}
-		if isMem(in.kind) {
+		if in.kind.Mem() {
 			in.n = uint32(len(c.lines) - base)
 		}
 		c.code = append(c.code, in)

@@ -2,12 +2,14 @@ package gpucore
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/memory"
 	"repro/internal/sim"
@@ -125,7 +127,7 @@ func checkCompiledLines(t *testing.T, gen func(int) []isa.Trace, want int) {
 	var c compiler
 	p := c.compile(gen(0), 32, 128)
 	code, lines := p.warp(0)
-	if len(code) != 1 || !isMem(code[0].kind) || int(code[0].n) != want || len(lines) != want {
+	if len(code) != 1 || !code[0].kind.Mem() || int(code[0].n) != want || len(lines) != want {
 		t.Fatalf("compiled %+v with %d lines, want one memory op of %d lines", code, len(lines), want)
 	}
 }
@@ -492,7 +494,7 @@ func randomCTA(rng *rand.Rand) []isa.Trace {
 			op := template[j]
 			if rng.Intn(5) == 0 {
 				op = randOp(lane)
-			} else if isMem(op.Kind) {
+			} else if op.Kind.Mem() {
 				op.Addr += memory.Addr(lane * 4)
 			}
 			tr = append(tr, op)
@@ -532,7 +534,7 @@ func TestCompileMatchesLaneWalk(t *testing.T) {
 				switch {
 				case in.kind == isa.OpCompute:
 					ok = ok && in.n == r.maxN && in.sum == r.sum
-				case isMem(in.kind):
+				case in.kind.Mem():
 					ok = ok && int(in.n) == len(r.lines) && slices.Equal(lines[:in.n], r.lines)
 					lines = lines[in.n:]
 				default:
@@ -579,6 +581,70 @@ func TestCompiledReplayMatchesLaneWalkCounters(t *testing.T) {
 		if flops != wantFLOPs || r.g.Ctr.Get("gpu.flops") != wantFLOPs {
 			t.Fatalf("seed %d: %d flops, reference %d", seed, flops, wantFLOPs)
 		}
+	}
+}
+
+// footprintCTA is randomCTA with some memory ops widened into multi-line
+// LdN/StN-style accesses and some emptied to N == 0.
+func footprintCTA(rng *rand.Rand) []isa.Trace {
+	traces := randomCTA(rng)
+	for _, tr := range traces {
+		for j := range tr {
+			if !tr[j].Kind.Mem() {
+				continue
+			}
+			switch rng.Intn(8) {
+			case 0:
+				tr[j].N = 0
+			case 1:
+				tr[j].N = uint32(128 + rng.Intn(2048))
+			}
+		}
+	}
+	return traces
+}
+
+// TestCompiledLinesFootprintMatchesLaneTouches checks, for random CTAs,
+// that the footprint the GPU touches from a dispatched CTA's compiled lines
+// partitions exactly like touching every lane memory op's [Addr, Addr+N).
+// Both footprints also take the same CPU touches, so shared lines are
+// covered, not only GPU-only ones.
+func TestCompiledLinesFootprintMatchesLaneTouches(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		traces := footprintCTA(rng)
+		compiled := core.NewCollector(128, 179e9)
+		lanes := core.NewCollector(128, 179e9)
+		for n := rng.Intn(8); n > 0; n-- {
+			addr, size := memory.Addr(rng.Intn(6000)), rng.Intn(400)
+			compiled.Touch(stats.CPU, addr, size)
+			lanes.Touch(stats.CPU, addr, size)
+		}
+		for _, tr := range traces {
+			for _, op := range tr {
+				if op.Kind.Mem() {
+					lanes.Touch(stats.GPU, op.Addr, int(op.N))
+				}
+			}
+		}
+		r := newRig(t, 1, 50*sim.Nanosecond)
+		r.g.Foot = compiled.Footprint()
+		runKernel(t, r, &Kernel{
+			Name: "rand", CTAs: 1, ThreadsPerTA: len(traces),
+			Gen: func(int) []isa.Trace { return traces },
+		})
+		if got, want := compiled.FootprintBytes(), lanes.FootprintBytes(); got != want {
+			t.Logf("seed %d: compiled lines touch %d bytes, lane ops %d", seed, got, want)
+			return false
+		}
+		if got, want := compiled.FootprintPartition(), lanes.FootprintPartition(); !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: compiled lines partition %v, lane ops %v", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -32,6 +32,13 @@ const (
 	OpSync
 )
 
+// Mem reports whether k is a global-memory op: one whose [Addr, Addr+N)
+// reaches the memory system. Compute, scratch and sync ops carry an N too,
+// but no address.
+func (k OpKind) Mem() bool {
+	return k == OpLoad || k == OpLoadDep || k == OpStore || k == OpAtomic
+}
+
 // Op is one replayable trace operation. Compact: 16 bytes.
 type Op struct {
 	Addr memory.Addr

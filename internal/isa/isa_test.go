@@ -28,6 +28,23 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestMem covers every OpKind: exactly the four global-memory kinds reach
+// the memory system.
+func TestMem(t *testing.T) {
+	want := map[OpKind]bool{
+		OpCompute: false, OpLoad: true, OpLoadDep: true, OpStore: true,
+		OpAtomic: true, OpScratch: false, OpSync: false,
+	}
+	if len(want) != int(OpSync)+1 {
+		t.Fatalf("table covers %d kinds, want %d", len(want), OpSync+1)
+	}
+	for k, mem := range want {
+		if k.Mem() != mem {
+			t.Errorf("OpKind(%d).Mem() = %v, want %v", k, k.Mem(), mem)
+		}
+	}
+}
+
 func TestSummarizeEmpty(t *testing.T) {
 	if s := Summarize(nil); s != (Stats{}) {
 		t.Fatalf("empty trace stats = %+v", s)

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -220,5 +222,30 @@ func TestRecordsSurviveReopen(t *testing.T) {
 	q, _ := filepath.Glob(filepath.Join(dir, "*.corrupt"))
 	if len(q) != 1 || !strings.Contains(q[0], RunKeyPrefix+"bad") {
 		t.Fatalf("quarantines = %v, want the undecodable record", q)
+	}
+}
+
+// BenchmarkPut measures durably storing one run record through the OS
+// seam: temp file, write, fsync, rename over the previous entry, directory
+// fsync. Keys cycle over a fixed set, so the index stays its steady size.
+func BenchmarkPut(b *testing.B) {
+	s, err := Open(fsx.OS, b.TempDir(), b.Logf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(sampleOutcome().Record())
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s%02d", RunKeyPrefix, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(keys[i%len(keys)], body); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
