@@ -2,7 +2,7 @@ package device
 
 import (
 	"fmt"
-	"reflect"
+	"unsafe"
 
 	"repro/internal/memory"
 )
@@ -51,13 +51,11 @@ type Buf[T any] struct {
 // Len reports element count.
 func (b *Buf[T]) Len() int { return len(b.V) }
 
-// ElemSize reports the byte size of one element of b.
+// ElemSize reports the byte size of one element of b: sizeof(T), which is
+// also A.Size/Len() for every buffer AllocBuf makes.
 func (b *Buf[T]) ElemSize() int {
-	if len(b.V) == 0 {
-		var z T
-		return int(reflect.TypeOf(z).Size())
-	}
-	return b.A.Size / len(b.V)
+	var z T
+	return int(unsafe.Sizeof(z))
 }
 
 // AllocRaw reserves size bytes in the chosen memory and registers the pages
@@ -90,7 +88,7 @@ func (s *System) AllocRaw(size int, name string, loc Loc, opts ...AllocOpt) *All
 // AllocBuf reserves a typed buffer of n elements.
 func AllocBuf[T any](s *System, n int, name string, loc Loc, opts ...AllocOpt) *Buf[T] {
 	var z T
-	es := int(reflect.TypeOf(z).Size())
+	es := int(unsafe.Sizeof(z))
 	if es == 0 {
 		panic(fmt.Sprintf("device: zero-sized element type for %s", name))
 	}

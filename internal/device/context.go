@@ -335,7 +335,7 @@ func (s *System) CPUTaskAsync(spec CPUTaskSpec, deps ...*Handle) *Handle {
 			var maxEnd sim.Tick
 			var totFLOPs uint64
 			for tid := 0; tid < spec.Threads; tid++ {
-				ct := &CPUThread{tid: tid, n: spec.Threads, tr: make(isa.Trace, 0, 1024)}
+				ct := &CPUThread{tr: make(isa.Trace, 0, 1024), lane: tid, block: spec.Threads, global: tid}
 				spec.Func(ct)
 				// The thread's Figure 4 footprint, from its recorded trace.
 				for _, op := range ct.tr {

@@ -74,13 +74,8 @@ func (Pathfinder) Run(s *device.System, mode bench.Mode, size bench.Size) {
 		})
 		src, dst = dst, src
 	}
-	if s.Unified() {
-		// Result lands where the CPU can read it: one residual copy.
-		device.Memcpy(s, result, src)
-	} else {
-		hr := &device.Buf[int32]{A: result.A, V: result.V}
-		device.Memcpy(s, hr, src)
-	}
+	// Result lands where the CPU can read it: one residual copy.
+	device.Memcpy(s, result, src)
 	s.EndROI()
 	s.AddResult(device.ChecksumI32(result.V))
 }
