@@ -33,7 +33,7 @@ var (
 )
 
 func getSweep() *experiments.Results {
-	sweepOnce.Do(func() { sweep, _ = experiments.Run(bench.SizeSmall, nil) })
+	sweepOnce.Do(func() { sweep, _ = experiments.RunSweep(bench.SizeSmall, experiments.SweepOpts{}) })
 	return sweep
 }
 

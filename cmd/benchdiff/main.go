@@ -20,7 +20,10 @@
 // reference machine, and commit the diff). The update merges: rows the
 // input does not mention keep their committed values, so a partial bench
 // run refreshes only its own rows; -prune drops the unmentioned rows
-// instead. The note field is preserved unless -note replaces it.
+// instead. A row already in the baseline takes the observed ns/op, but
+// keeps its committed B/op and allocs/op while the observed ones stay
+// within the gate's headroom, so a refresh moves a ceiling only for a
+// real change. The note field is preserved unless -note replaces it.
 package main
 
 import (
@@ -133,6 +136,21 @@ func limit(was int64) int64 {
 	return was
 }
 
+// refresh is the -update value of a row the baseline already holds: the
+// observed ns/op, and each gated column's committed value unless the
+// observed one moved past limit's headroom in either direction.
+func refresh(now, was Result) Result {
+	keep := func(now, was int64) int64 {
+		if d := now - was; max(d, -d) <= limit(was)-was {
+			return was
+		}
+		return now
+	}
+	now.BytesPerOp = keep(now.BytesPerOp, was.BytesPerOp)
+	now.AllocsPerOp = keep(now.AllocsPerOp, was.AllocsPerOp)
+	return now
+}
+
 // gate decides one benchmark row: "ok", "FAIL allocs" or "FAIL B/op" when
 // a column exceeds its limit, or "no -benchmem" when either side lacks
 // the memory columns.
@@ -186,11 +204,11 @@ func main() {
 			if *note == "" {
 				b.Note = old.Note
 			}
-			if !*prune {
-				for name, res := range old.Benchmarks {
-					if _, ok := got[name]; !ok {
-						b.Benchmarks[name] = res
-					}
+			for name, res := range old.Benchmarks {
+				if now, ok := got[name]; ok {
+					b.Benchmarks[name] = refresh(now, res)
+				} else if !*prune {
+					b.Benchmarks[name] = res
 				}
 			}
 		}

@@ -77,3 +77,27 @@ func TestGate(t *testing.T) {
 		}
 	}
 }
+
+func TestRefresh(t *testing.T) {
+	row := func(ns float64, bytes, allocs int64) Result {
+		return Result{NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs}
+	}
+	cases := []struct {
+		name     string
+		now, was Result
+		want     Result
+	}{
+		{"sweep noise up keeps the gate", row(2, 441000000, 502674), row(1, 441000000, 502668), row(2, 441000000, 502668)},
+		{"sweep noise down keeps the gate", row(2, 440000000, 502662), row(1, 441000000, 502668), row(2, 441000000, 502668)},
+		{"sweep edge of headroom keeps the gate", row(2, 1000+20, 1000-20), row(1, 1000, 1000), row(2, 1000, 1000)},
+		{"sweep past headroom up takes observed", row(2, 1000+21, 1000), row(1, 1000, 1000), row(2, 1000+21, 1000)},
+		{"sweep past headroom down takes observed", row(2, 1000, 1000-21), row(1, 1000, 1000), row(2, 1000, 1000-21)},
+		{"small values refresh exactly", row(2, 48, 1), row(1, 64, 2), row(2, 48, 1)},
+		{"unchanged small row", row(2, 0, 0), row(1, 0, 0), row(2, 0, 0)},
+	}
+	for _, c := range cases {
+		if got := refresh(c.now, c.was); got != c.want {
+			t.Errorf("%s: refresh = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}

@@ -63,10 +63,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/fsx"
 	"repro/internal/harness"
 	"repro/internal/metrics"
-	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 
@@ -233,21 +231,12 @@ func run() int {
 	if *progress {
 		opts.Progress = sweep.NewTracker(os.Stderr, 0)
 	}
-	if *stateDir != "" {
-		st, err := store.Open(fsx.OS, *stateDir, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-state: %v\n", err)
-			return 2
-		}
-		opts.Store = st.Records()
-		opts.OnStored = func(n int) {
-			if n > 0 {
-				fmt.Fprintf(os.Stderr, "reusing %d stored runs from %s\n", n, *stateDir)
-			}
-		}
+	st, err := experiments.StateRunner(*stateDir, os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-state: %v\n", err)
+		return 2
 	}
+	opts.Store, opts.OnStored = st.Store, st.OnStored
 	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
 	opts.Ctx, opts.RunCtx = dispatchCtx, runCtx
 	res, errs := experiments.RunSweep(size, opts)

@@ -1,6 +1,8 @@
-// Command hetsim runs benchmarks on one simulated system configuration
-// and prints the full analysis report — the smallest way to poke at the
-// simulator.
+// Command hetsim runs benchmarks in one mode and prints each run's full
+// analysis report — the smallest way to poke at the simulator. It only
+// parses flags, lists and prints: the runs themselves go through
+// experiments.RunSpecs, the slot runner the sweeps of cmd/experiments and
+// hetsimd's /v1/run share (pool, progress and run-store reuse alike).
 //
 // Usage:
 //
@@ -47,12 +49,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/fsx"
+	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 
@@ -112,7 +112,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var benches []bench.Benchmark
+	// The signal handler goes in first so the specs can carry its run
+	// context: the first SIGINT/SIGTERM stops dispatch, the second aborts
+	// in-flight runs.
+	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
+	var specs []harness.Spec
 	for _, n := range strings.Split(*name, ",") {
 		n = strings.TrimSpace(n)
 		if n == "" {
@@ -124,108 +128,49 @@ func main() {
 			fmt.Fprintln(os.Stderr, "use -list to see available benchmarks")
 			os.Exit(1)
 		}
-		benches = append(benches, b)
+		spec := harness.Spec{
+			Bench: b, Mode: mode, Size: size, Fault: fault, Ctx: runCtx, Stall: *stall, Parallel: *par,
+			Budget: harness.Budget{MaxEvents: *maxEvents, Timeout: *timeout},
+		}
+		if *tracePath != "" || *flame {
+			spec.Trace = trace.New()
+		}
+		specs = append(specs, spec)
 	}
-	if len(benches) == 0 {
+	if len(specs) == 0 {
 		fmt.Fprintln(os.Stderr, "no benchmark given; use -bench NAME[,NAME...] or -list")
 		os.Exit(2)
 	}
-
-	tracing := *tracePath != "" || *flame
-	var recs []*trace.Recorder
-	if tracing {
-		recs = make([]*trace.Recorder, len(benches))
-		for i := range recs {
-			recs[i] = trace.New()
-		}
-	}
-	var prog *sweep.Tracker
-	if *progress {
-		prog = sweep.NewTracker(os.Stderr, len(benches))
-	}
-
 	// The run store, when -state is given: every run looks its key up
 	// first, and completed runs are stored durably.
-	var runs *store.Records
-	if *stateDir != "" {
-		st, err := store.Open(fsx.OS, *stateDir, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-state: %v\n", err)
-			os.Exit(2)
-		}
-		runs = st.Records()
+	runner, err := experiments.StateRunner(*stateDir, os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-state: %v\n", err)
+		os.Exit(2)
 	}
-	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
-
+	runner.Jobs, runner.Ctx = *jobs, dispatchCtx
+	if *progress {
+		runner.Progress = sweep.NewTracker(os.Stderr, 0)
+	}
 	// Run every benchmark on the worker pool; print in the order listed.
-	// Stored runs are filled before dispatch and skipped by the pool.
-	specs := make([]harness.Spec, len(benches))
-	keys := make([]string, len(benches))
-	outs := make([]*harness.Outcome, len(benches))
-	stored := 0
-	for i, b := range benches {
-		runName := b.Info().FullName() + " " + mode.String()
-		specs[i] = harness.Spec{
-			Bench: b, Mode: mode, Size: size,
-			Budget:   harness.Budget{MaxEvents: *maxEvents, Timeout: time.Duration(*timeout)},
-			Fault:    fault,
-			Ctx:      runCtx,
-			Stall:    *stall,
-			Parallel: *par,
-		}
-		if tracing {
-			specs[i].Trace = recs[i]
-		}
-		if prog != nil {
-			specs[i].OnRetry = func(next bench.Size, err *harness.RunError) {
-				prog.Retry(runName, fmt.Sprintf("at %s after %s", next, err.Kind))
-			}
-		}
-		if runs != nil {
-			keys[i] = store.RunKey(specs[i])
-			if outs[i] = runs.Get(keys[i]); outs[i] != nil {
-				stored++
-				prog.Replay(runName)
-			}
-		}
-	}
-	if stored > 0 {
-		fmt.Fprintf(os.Stderr, "reusing %d stored runs from %s\n", stored, *stateDir)
-	}
-	sweep.Each(dispatchCtx, *jobs, len(benches), func(i int) {
-		if outs[i] != nil {
-			return // reused from the store
-		}
-		runName := benches[i].Info().FullName() + " " + mode.String()
-		prog.Start(runName)
-		outs[i] = harness.Run(specs[i])
-		runs.Put(keys[i], outs[i])
-		if out := outs[i]; out.Err != nil {
-			prog.Finish(runName, false, out.Err.Kind.String()+": "+out.Err.Msg)
-		} else {
-			prog.Finish(runName, true, fmt.Sprintf("%.3f ms sim, %d events", out.SimTime.Millis(), out.Events))
-		}
-	})
-	prog.Summary()
+	outs := experiments.RunSpecs(specs, runner)
 	// Read the interrupt state before stopSignals, which cancels both
 	// contexts as part of releasing the handler.
 	interrupted := dispatchCtx.Err() != nil
 	stopSignals()
-	if err := runs.Err(); err != nil {
+	if err := runner.Store.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "warning: storing runs failed mid-run: %v\n", err)
 	}
 
-	if tracing {
+	if *tracePath != "" || *flame {
 		var runs []trace.RunTrace
-		for i, b := range benches {
+		for i, spec := range specs {
 			if outs[i] == nil {
 				continue // never dispatched (interrupted before start)
 			}
 			runs = append(runs, trace.RunTrace{
-				Name: b.Info().FullName() + " " + mode.String() + " " + outs[i].Size.String(),
-				Rec:  recs[i],
+				Name: spec.Bench.Info().FullName() + " " + mode.String() + " " + outs[i].Size.String(),
+				Rec:  spec.Trace,
 			})
 		}
 		if *tracePath != "" {
@@ -258,11 +203,9 @@ func main() {
 	}
 
 	failed := false
-	skipped := 0
 	for i, out := range outs {
 		if out == nil {
-			skipped++
-			fmt.Fprintf(os.Stderr, "skipped (interrupted before start): %s\n", benches[i].Info().FullName())
+			fmt.Fprintf(os.Stderr, "skipped (interrupted before start): %s\n", specs[i].Bench.Info().FullName())
 			continue
 		}
 		if out.Err != nil {
@@ -290,7 +233,7 @@ func main() {
 			}
 		}
 	}
-	if interrupted || skipped > 0 {
+	if interrupted {
 		if *stateDir != "" {
 			fmt.Fprintf(os.Stderr, "resume with: -state %s\n", *stateDir)
 		}

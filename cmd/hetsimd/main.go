@@ -161,6 +161,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "hetsimd: %v\n", err)
 		return 1
 	}
+	// Deferred: runs on every return path, after httpSrv.Shutdown.
+	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -6,12 +6,14 @@
 // Figure 9 (off-chip access classification).
 //
 // The pipeline has three stages. RunSweep executes every (benchmark, mode)
-// run — each an isolated simulation — on a bounded worker pool
-// (internal/sweep) and assembles the outcomes deterministically, so the
-// Results are byte-for-byte identical for every worker count. The FigNRows
-// functions (rows.go) reduce a sweep to typed rows plus summaries. The
-// renderers (render.go, csv.go, json.go) format those rows as text
-// figures, CSV, or JSON without touching a report again.
+// run — each an isolated simulation — through RunSpecs, the slot runner
+// (run-store lookup, bounded worker pool, progress, Put) that cmd/hetsim
+// and hetsimd's /v1/run call too, and assembles the outcomes
+// deterministically, so the Results are byte-for-byte identical for every
+// worker count. The FigNRows functions (rows.go) reduce a sweep to typed
+// rows plus summaries. The renderers (render.go, csv.go, json.go) format
+// those rows as text figures, CSV, or JSON without touching a report
+// again.
 package experiments
 
 import (
@@ -116,29 +118,20 @@ type SweepOpts struct {
 	// Trace records a per-run trace for every run; the recorders come back
 	// in Results.Traces for export.
 	Trace bool
-	// Progress, when non-nil, receives live start/retry/finish lines for
-	// every run. It writes to its own stream, so the sweep's primary
-	// output is unaffected.
+	// Progress, Ctx, Store and OnStored are handed to RunSpecs (see
+	// Runner). Progress writes to its own stream, so the sweep's primary
+	// output is unaffected; the runs Ctx keeps from starting come back in
+	// Results.Skipped; Store is how an interrupted sweep resumes and how
+	// overlapping sweeps and single runs share work.
 	Progress *sweep.Tracker
-	// Ctx, when non-nil, cancels dispatch: once it is done, no further
-	// run starts; in-flight runs drain to completion (and are stored)
-	// and the undone remainder comes back in Results.Skipped. A nil Ctx
-	// never cancels.
-	Ctx context.Context
+	Ctx      context.Context
+	Store    *store.Records
+	OnStored func(n int)
 	// RunCtx, when non-nil, cancels in-flight runs themselves: each run's
 	// engine polls it and aborts as a KindCanceled failure. The commands
 	// wire this to the second interrupt signal. Independent of Ctx — a
 	// graceful shutdown cancels only Ctx.
 	RunCtx context.Context
-	// Store, when non-nil, holds completed runs by run key: a slot whose
-	// record it already holds is reused instead of simulated — which is
-	// how an interrupted sweep resumes and how overlapping sweeps and
-	// single runs share work — and every run this sweep completes is put
-	// there durably.
-	Store *store.Records
-	// OnStored, when set, is called once before any run starts with the
-	// number of slots found in Store (the runs this sweep reuses).
-	OnStored func(n int)
 	// Stall arms each run's stall watchdog: a run whose simulated time
 	// stops advancing for this long while events churn is killed as
 	// KindStalled instead of spinning forever. Zero disables it.
@@ -149,12 +142,6 @@ type SweepOpts struct {
 	// lifecycle trace instants. Never part of a key: it does not affect
 	// results.
 	RequestID string
-}
-
-// Run executes the full sweep with default options. Failed runs come back
-// in the error slice (and in Results.Failed); completed runs are unaffected.
-func Run(size bench.Size, onProgress func(name, mode string)) (*Results, []harness.RunError) {
-	return RunSweep(size, SweepOpts{OnProgress: onProgress})
 }
 
 // RunSweep executes a fault-tolerant sweep: every selected benchmark in
@@ -177,96 +164,48 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 	// One slot per (benchmark, mode) run, in the registry's stable order —
 	// the order the serial sweep ran in, and the order assembly below
 	// walks regardless of which worker finishes first.
-	slots := sweepSlots(onlySet(opts.Only))
-
-	outs := make([]*harness.Outcome, len(slots))
-	var recs []*trace.Recorder
-	if opts.Trace {
-		recs = make([]*trace.Recorder, len(slots))
-		for i := range recs {
-			recs[i] = trace.New()
-		}
-	}
-
-	// Every slot's spec is built up front so its run key can be looked up
-	// before dispatch: a stored slot is filled from its record and its
-	// task below degenerates to a no-op, so a sweep executes only the
-	// missing runs yet assembles the full result set — byte-identical to
-	// a sweep that simulated everything.
-	specs := make([]harness.Spec, len(slots))
-	keys := make([]string, len(slots))
-	stored := 0
-	for i, s := range slots {
-		runName := s.name + " " + s.mode.String()
-		specs[i] = harness.Spec{
-			Bench: s.b, Mode: s.mode, Size: size, Budget: opts.Budget, Fault: opts.Fault,
-			Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
-			Parallel: opts.Parallel,
-		}
+	specs := sweepSlots(onlySet(opts.Only), harness.Spec{
+		Size: size, Budget: opts.Budget, Fault: opts.Fault,
+		Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
+		Parallel: opts.Parallel,
+	})
+	for i := range specs {
 		if opts.Trace {
-			specs[i].Trace = recs[i]
-		}
-		if opts.Progress != nil {
-			specs[i].OnRetry = func(next bench.Size, err *harness.RunError) {
-				opts.Progress.Retry(runName, fmt.Sprintf("%s at %s, degrading to %s", err.Kind, err.Size, next))
-			}
+			specs[i].Trace = trace.New()
 		}
 		if opts.PerRun != nil {
 			opts.PerRun(&specs[i])
 		}
-		if opts.Store != nil {
-			keys[i] = store.RunKey(specs[i])
-			if outs[i] = opts.Store.Get(keys[i]); outs[i] != nil {
-				stored++
-			}
-		}
 	}
-	if opts.OnStored != nil {
-		opts.OnStored(stored)
-	}
-	opts.Progress.SetTotal(len(slots))
-	for i, s := range slots {
-		if outs[i] != nil {
-			opts.Progress.Replay(s.name + " " + s.mode.String())
-		}
-	}
-
-	var progressMu sync.Mutex
-	sweep.Each(opts.Ctx, opts.Jobs, len(slots), func(i int) {
-		if outs[i] != nil {
-			return // reused from the store
-		}
-		s := slots[i]
-		runName := s.name + " " + s.mode.String()
-		if opts.OnProgress != nil {
+	exec := harness.Run
+	if opts.OnProgress != nil {
+		var progressMu sync.Mutex
+		exec = func(spec harness.Spec) *harness.Outcome {
 			progressMu.Lock()
-			opts.OnProgress(s.name, s.mode.String())
+			opts.OnProgress(spec.Bench.Info().FullName(), spec.Mode.String())
 			progressMu.Unlock()
+			return harness.Run(spec)
 		}
-		opts.Progress.Start(runName)
-		outs[i] = harness.Run(specs[i])
-		opts.Store.Put(keys[i], outs[i])
-		if opts.Progress != nil {
-			out := outs[i]
-			if out.Err != nil {
-				opts.Progress.Finish(runName, false, out.Err.Kind.String()+": "+out.Err.Msg)
-			} else {
-				opts.Progress.Finish(runName, true, fmt.Sprintf("%.3f ms sim, %d events", out.SimTime.Millis(), out.Events))
-			}
-		}
+	}
+	// Stored slots come back from their records, so the sweep simulates
+	// only the missing runs yet assembles the full result set —
+	// byte-identical to a sweep that simulated everything.
+	outs := RunSpecs(specs, Runner{
+		Jobs: opts.Jobs, Ctx: opts.Ctx, Store: opts.Store,
+		Progress: opts.Progress, OnStored: opts.OnStored, Exec: exec,
 	})
-	opts.Progress.Summary()
 
-	for i, s := range slots {
+	for i, spec := range specs {
 		out := outs[i]
+		name, mode := spec.Bench.Info().FullName(), spec.Mode
 		if out == nil {
 			// Never dispatched: the sweep was canceled first. Not a
 			// failure — a resumed sweep re-runs exactly these.
-			r.Skipped = append(r.Skipped, s.name+" "+s.mode.String())
+			r.Skipped = append(r.Skipped, name+" "+mode.String())
 			continue
 		}
 		meta := RunMeta{
-			Benchmark: s.name, Mode: s.mode, Size: out.Size,
+			Benchmark: name, Mode: mode, Size: out.Size,
 			Attempts: out.Attempts, Degraded: out.Degraded, Failed: out.Err != nil,
 			SimTime: out.SimTime, Events: out.Events, Wall: out.Wall,
 		}
@@ -276,8 +215,8 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 		r.Runs = append(r.Runs, meta)
 		if opts.Trace {
 			r.Traces = append(r.Traces, trace.RunTrace{
-				Name: s.name + " " + s.mode.String() + " " + out.Size.String(),
-				Rec:  recs[i],
+				Name: name + " " + mode.String() + " " + out.Size.String(),
+				Rec:  spec.Trace,
 			})
 		}
 		if out.Err != nil {
@@ -285,21 +224,21 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 			continue
 		}
 		var dst map[string]*core.Report
-		switch s.mode {
+		switch mode {
 		case bench.ModeCopy:
 			dst = r.Copy
 		case bench.ModeLimitedCopy:
 			dst = r.Limited
 		default:
-			if r.Extra[s.mode] == nil {
-				r.Extra[s.mode] = map[string]*core.Report{}
+			if r.Extra[mode] == nil {
+				r.Extra[mode] = map[string]*core.Report{}
 			}
-			dst = r.Extra[s.mode]
+			dst = r.Extra[mode]
 		}
-		dst[s.name] = out.Report
+		dst[name] = out.Report
 		if out.Degraded {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s (%s) ran at size %s after exceeding its budget at %s",
-				s.name, s.mode, out.Size, size))
+				name, mode, out.Size, size))
 		}
 	}
 	return r, r.Failed

@@ -310,8 +310,8 @@ func TestSweepStoreOnDisk(t *testing.T) {
 	res, _, _ := countingSweep(t, dir, bench.SizeSmall, opts)
 
 	var want []string
-	for _, s := range sweepSlots(onlySet(opts.Only)) {
-		want = append(want, store.RunKey(harness.Spec{Bench: s.b, Mode: s.mode, Size: bench.SizeSmall})+".entry")
+	for _, s := range sweepSlots(onlySet(opts.Only), harness.Spec{Size: bench.SizeSmall}) {
+		want = append(want, store.RunKey(s)+".entry")
 	}
 	sort.Strings(want)
 	ents, err := os.ReadDir(dir)

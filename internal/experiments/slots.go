@@ -4,33 +4,22 @@ import (
 	"strconv"
 
 	"repro/internal/bench"
+	"repro/internal/harness"
 	"repro/internal/store"
 )
 
-// runSlot is one (benchmark, mode) run of a sweep, in the registry's
-// stable order.
-type runSlot struct {
-	b    bench.Benchmark
-	mode bench.Mode
-	name string
-}
-
-// key is the slot's stable name in the sweep fingerprint.
-func (s runSlot) key() string { return s.name + "|" + s.mode.String() }
-
-// sweepSlots builds the sweep's run slots: every registered benchmark
-// (filtered by only when non-nil) in copy and limited-copy mode plus its
-// extra modes, in the registry's stable order.
-func sweepSlots(only map[string]bool) []runSlot {
-	var slots []runSlot
+// sweepSlots builds the sweep's run slots, each a copy of tmpl: every
+// registered benchmark (filtered by only when non-nil) in copy and
+// limited-copy mode plus its extra modes, in the registry's stable order.
+func sweepSlots(only map[string]bool, tmpl harness.Spec) []harness.Spec {
+	var slots []harness.Spec
 	for _, b := range bench.All() {
-		name := b.Info().FullName()
-		if only != nil && !only[name] {
+		if only != nil && !only[b.Info().FullName()] {
 			continue
 		}
-		slots = append(slots, runSlot{b, bench.ModeCopy, name}, runSlot{b, bench.ModeLimitedCopy, name})
-		for _, m := range b.Info().ExtraModes {
-			slots = append(slots, runSlot{b, m, name})
+		for _, m := range b.Info().Modes() {
+			tmpl.Bench, tmpl.Mode = b, m
+			slots = append(slots, tmpl)
 		}
 	}
 	return slots
@@ -77,8 +66,8 @@ func SweepFingerprint(size bench.Size, opts SweepOpts) string {
 		}
 		fp.Add("modes", line)
 	}
-	for _, s := range sweepSlots(only) {
-		fp.Add("slot", s.key())
+	for _, s := range sweepSlots(only, harness.Spec{}) {
+		fp.Add("slot", s.Bench.Info().FullName()+"|"+s.Mode.String())
 	}
 	fp.Add("fault", opts.Fault.String())
 	fp.Add("max_events", strconv.FormatUint(opts.Budget.MaxEvents, 10))

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,17 +16,18 @@ import (
 // be in flight before the server exists.
 const tmpOrphanAge = 30 * time.Second
 
-// gcLoop runs the periodic state-dir garbage collection until drain
-// begins (a draining server's remaining work is finishing requests, not
-// housekeeping).
-func (s *Server) gcLoop() {
+// gcLoop runs the periodic state-dir garbage collection until ctx ends:
+// when drain begins (a draining server's remaining work is finishing
+// requests, not housekeeping) or Close stops it.
+func (s *Server) gcLoop(ctx context.Context) {
+	defer s.gc.Done()
 	t := time.NewTicker(s.cfg.GCInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
 			s.runGC(false)
-		case <-s.cfg.Drain.Done():
+		case <-ctx.Done():
 			return
 		}
 	}

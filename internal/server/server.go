@@ -134,7 +134,7 @@ type Config struct {
 }
 
 // Server is the sweep-as-a-service request layer. Build with New, mount
-// with Handler.
+// with Handler, release with Close.
 type Server struct {
 	cfg     Config
 	fs      fsx.FS
@@ -148,6 +148,10 @@ type Server struct {
 	// is executing or waiting on.
 	locksMu sync.Mutex
 	locks   map[string]*keyLock
+
+	// stopGC ends the periodic GC loop; gc waits for it to exit.
+	stopGC context.CancelFunc
+	gc     sync.WaitGroup
 
 	// Execution seams, overridden by tests to substitute deterministic
 	// stand-ins for the simulator.
@@ -220,14 +224,25 @@ func New(cfg Config) (*Server, error) {
 	s.persist = &persistGuard{s: s}
 	// Startup GC: reclaim what a previous process's crash left behind
 	// (half-written temp files) before serving, then keep the dir tidy
-	// periodically. The recency sidecar is saved once more when drain
-	// begins, so a restart keeps the accesses since the last GC pass.
+	// periodically. Close saves the recency sidecar once more, so a
+	// restart keeps the accesses since the last GC pass.
 	s.runGC(true)
+	var gcCtx context.Context
+	gcCtx, s.stopGC = context.WithCancel(cfg.Drain)
 	if cfg.GCInterval > 0 {
-		go s.gcLoop()
+		s.gc.Add(1)
+		go s.gcLoop(gcCtx)
 	}
-	context.AfterFunc(cfg.Drain, st.SaveIndex)
 	return s, nil
+}
+
+// Close, called once the HTTP server has shut down, stops the periodic GC,
+// waits for it to exit and saves the store's recency sidecar: after it
+// returns the server writes nothing more to its state dir on its own.
+func (s *Server) Close() {
+	s.stopGC()
+	s.gc.Wait()
+	s.store.SaveIndex()
 }
 
 // Handler returns the daemon's HTTP handler tree.
@@ -802,23 +817,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The run itself may already be stored — by a sweep that included it,
-	// or by a request that differed only in scheduling knobs.
+	// or by a request that differed only in scheduling knobs. One spec
+	// runs inline on this goroutine, so a panic reaches the recovery
+	// middleware.
+	runCtx, stopRun := mergeCtx(reqCtx, s.cfg.Hard)
+	defer stopRun()
+	spec := p.spec
+	spec.Ctx = runCtx
+	spec.RequestID = RequestIDFrom(r.Context())
 	recs := s.records()
-	key := store.RunKey(p.spec)
-	out := recs.Get(key)
-	if out != nil {
-		s.m.resumedRuns.Inc()
-	} else {
-		runCtx, stopRun := mergeCtx(reqCtx, s.cfg.Hard)
-		defer stopRun()
-		spec := p.spec
-		spec.Ctx = runCtx
-		spec.RequestID = RequestIDFrom(r.Context())
-		out = s.runOne(spec)
-		recs.Put(key, out)
-		if err := recs.Err(); err != nil {
-			s.persist.degrade(opRecordPut, err)
-		}
+	out := experiments.RunSpecs([]harness.Spec{spec}, experiments.Runner{
+		Store:    recs,
+		OnStored: func(n int) { s.m.resumedRuns.Add(uint64(n)) },
+		Exec:     s.runOne,
+	})[0]
+	if err := recs.Err(); err != nil {
+		s.persist.degrade(opRecordPut, err)
 	}
 
 	doc := out.JSON()

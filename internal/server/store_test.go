@@ -2,11 +2,9 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -171,15 +169,13 @@ func TestLocksReleased(t *testing.T) {
 }
 
 // TestGCSavesRecencySidecar: the recency sidecar is written by every GC
-// pass that saw an access and once when drain begins, so a restarted
-// daemon evicts in access order without any eviction having happened.
+// pass that saw an access and once more by Close, so a restarted daemon
+// evicts in access order without any eviction having happened.
 func TestGCSavesRecencySidecar(t *testing.T) {
 	dir := t.TempDir()
-	drain, startDrain := context.WithCancel(context.Background())
 	s, ts := newTestServer(t, func(c *Config) {
 		c.StateDir = dir
 		c.GCInterval = -1
-		c.Drain = drain
 	})
 	s.runOne = func(spec harness.Spec) *harness.Outcome {
 		return &harness.Outcome{Attempts: 1, Size: spec.Size, Events: 7}
@@ -242,7 +238,7 @@ func TestGCSavesRecencySidecar(t *testing.T) {
 		t.Fatalf("LRU order after GC and restart = %v, want %v", got, want)
 	}
 
-	// One more access, then drain: the drain-time save records it.
+	// One more access, then Close: its save records it.
 	again := docKey(reqs[(first+1)%len(reqs)])
 	if resp, _ := post(t, ts.URL+"/v1/run", reqs[(first+1)%len(reqs)]); resp.Header.Get(HeaderCache) != "hit" {
 		t.Fatal("repeat run was not a hit")
@@ -254,20 +250,8 @@ func TestGCSavesRecencySidecar(t *testing.T) {
 		}
 	}
 	want = append(moved, again)
-	sidecar := filepath.Join(dir, "cache", "index.lru")
-	before, _ := os.ReadFile(sidecar)
-	startDrain()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if after, _ := os.ReadFile(sidecar); !bytes.Equal(after, before) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("drain did not save the recency sidecar")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	s.Close()
 	if got := docOrder(restart()); strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("LRU order after drain and restart = %v, want %v", got, want)
+		t.Fatalf("LRU order after Close and restart = %v, want %v", got, want)
 	}
 }

@@ -158,16 +158,6 @@ func (p *Tracker) Replay(name string) {
 	p.emit("replay", name, "from store")
 }
 
-// Replayed reports how many runs were reused from the store so far.
-func (p *Tracker) Replayed() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.replayed
-}
-
 // Summary logs the final tally.
 func (p *Tracker) Summary() {
 	if p == nil {

@@ -120,7 +120,4 @@ func TestTrackerNilSafety(t *testing.T) {
 	p.Finish("a", true, "")
 	p.Replay("b")
 	p.Summary()
-	if p.Replayed() != 0 {
-		t.Fatal("nil tracker reported replays")
-	}
 }
