@@ -86,7 +86,7 @@ func run() int {
 	csvDir := flag.String("csv", "", "also export the sweep as CSV files into this directory")
 	jsonPath := flag.String("json", "", "also export the sweep's rows and summaries as JSON to this file")
 	jobs := flag.Int("jobs", 0, "worker-pool size for sweep runs (0 = GOMAXPROCS, 1 = serial)")
-	par := flag.Int("par", 0, "intra-run simulation workers per run (0/1 = serial; results byte-identical for every value)")
+	par := flag.Int("par", 0, "intra-run parallelism (0/1 = serial; any N >= 2 runs one generate+compile worker beside the timing thread; results byte-identical for every value)")
 	only := flag.String("only", "", "restrict the shared sweep to these full benchmark names (comma-separated)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited)")
 	maxEvents := flag.Uint64("max-events", 0, "simulation event budget per run (0 = unlimited)")

@@ -67,7 +67,7 @@ func main() {
 	modeFlag := flag.String("mode", "copy", "copy, limited-copy, async-streams, or parallel-chunked")
 	sizeFlag := flag.String("size", "small", "small or medium")
 	jobs := flag.Int("jobs", 0, "worker-pool size when running several benchmarks (0 = GOMAXPROCS)")
-	par := flag.Int("par", 0, "intra-run simulation workers per run (0/1 = serial; results byte-identical for every value)")
+	par := flag.Int("par", 0, "intra-run parallelism (0/1 = serial; any N >= 2 runs one generate+compile worker beside the timing thread; results byte-identical for every value)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited)")
 	maxEvents := flag.Uint64("max-events", 0, "simulation event budget per run (0 = unlimited)")
 	stall := flag.Duration("stall", 0, "kill a run whose simulated time stops advancing for this long (0 = disabled)")

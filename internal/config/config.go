@@ -251,33 +251,6 @@ func HeteroProcessor() System {
 	return s
 }
 
-// LookaheadNs derives the parallel engine's lookahead window width, in
-// nanoseconds: the minimum positive cross-domain latency of this system.
-// Work pipelined ahead of the timing clock is bounded by this window — the
-// guarantee that no cross-domain interaction can land "between" the clock
-// and the pipelined work is exactly the conservative-PDES lookahead
-// argument, instantiated with Table I's fixed latencies. A system whose
-// candidate set is empty (every cross-domain hop free) has zero lookahead
-// and must run on the serial engine.
-func (s System) LookaheadNs() float64 {
-	la := 0.0
-	add := func(ns float64) {
-		if ns > 0 && (la == 0 || ns < la) {
-			la = ns
-		}
-	}
-	add(s.SwitchLatNs)    // L2<->memory-controller hop
-	add(s.KernelLaunchNs) // host->GPU launch floor
-	add(s.CacheToCacheNs) // coherent CPU<->GPU transfer (hetero)
-	if s.Kind == Discrete {
-		add(s.PCIe.LatencyUs * 1000) // CPU<->GPU link setup
-		add(s.VM.GPUFaultServNs)     // GPU-local fault floor
-	} else {
-		add(s.VM.CPUFaultServUs * 1000) // CPU fault-handler occupancy
-	}
-	return la
-}
-
 // Validate checks internal consistency of a System and returns a descriptive
 // error for the first problem found.
 func (s System) Validate() error {
@@ -305,11 +278,9 @@ func (s System) Validate() error {
 			return fmt.Errorf("discrete system needs a PCIe link")
 		}
 	}
-	// The lookahead derivation treats these latencies as window-width
-	// candidates, so they must be well-formed: non-finite or negative
-	// values would silently produce a garbage window instead of a clean
-	// serial fallback. Zero stays valid (it just contributes no candidate
-	// — CacheToCacheNs is legitimately 0 on the discrete system).
+	// Latencies must be well-formed: non-finite or negative values would
+	// schedule events at garbage times. Zero stays valid (CacheToCacheNs
+	// is legitimately 0 on the discrete system).
 	switch {
 	case !finite(s.SwitchLatNs) || !finite(s.KernelLaunchNs) || !finite(s.CacheToCacheNs) ||
 		!finite(s.PCIe.LatencyUs) || !finite(s.VM.GPUFaultServNs) || !finite(s.VM.CPUFaultServUs):

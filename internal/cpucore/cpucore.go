@@ -108,7 +108,7 @@ func (c *Core) RunTrace(start sim.Tick, comp stats.Component, tr isa.Trace, done
 		c.cTraceOps = c.Ctr.Handle("cpu.trace_ops")
 	}
 	r := &run{c: c, tr: tr, comp: comp, start: start, t: start, done: done}
-	c.Eng.AtD(sim.DomainCPU, start, r.step)
+	c.Eng.At(start, r.step)
 }
 
 func (r *run) step() {
@@ -152,7 +152,7 @@ func (r *run) step() {
 	}
 
 	if r.idx < len(r.tr) {
-		c.Eng.AtD(sim.DomainCPU, r.t, r.step)
+		c.Eng.At(r.t, r.step)
 		return
 	}
 	end := r.t

@@ -156,7 +156,7 @@ func (s *System) LaunchAsync(k KernelSpec, deps ...*Handle) *Handle {
 		launchStart := s.hostMux.Claim(ready, launchDur)
 		start := launchStart + launchDur
 		s.Col.AddActivityNamed(stats.CPU, "launch "+k.Name, launchStart, start)
-		s.Eng.AtD(sim.DomainHost, start, func() { s.launchOnGPU(k, launchStart, launchDur, h) })
+		s.Eng.At(start, func() { s.launchOnGPU(k, launchStart, launchDur, h) })
 	})
 	return h
 }
@@ -194,7 +194,7 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 				ch := s.newHandle("child kernel " + ck.Name)
 				ckStart := end + sim.Tick(i+1)*deviceLaunchOverhead
 				ckCopy := ck
-				s.Eng.AtD(sim.DomainHost, ckStart, func() { s.launchOnGPU(ckCopy, ckStart, 0, ch) })
+				s.Eng.At(ckStart, func() { s.launchOnGPU(ckCopy, ckStart, 0, ch) })
 				ch.whenDone(func(e sim.Tick) {
 					if e > lastEnd {
 						lastEnd = e
@@ -243,7 +243,7 @@ func (s *System) copyAsync(dst, src *Alloc, n int, funcCopy func(), deps []*Hand
 		s.Col.Touch(stats.Copy, src.Base, n)
 		s.Col.Touch(stats.Copy, dst.Base, n)
 
-		s.Eng.AtD(sim.DomainHost, start, func() {
+		s.Eng.At(start, func() {
 			st := s.Col.StageBegin(core.StageCopy, fmt.Sprintf("copy %s->%s", src.Name, dst.Name),
 				stats.Copy, launchStart, launchDur, start)
 			s.dma.Transfer(start, src.Base, dst.Base, n, s.dramFor(src), s.dramFor(dst),
@@ -328,7 +328,7 @@ func (s *System) CPUTaskAsync(spec CPUTaskSpec, deps ...*Handle) *Handle {
 	}
 	h := s.newHandle("cpu task " + spec.Name)
 	s.when(deps, func(ready sim.Tick) {
-		s.Eng.AtD(sim.DomainHost, ready+signalLat, func() {
+		s.Eng.At(ready+signalLat, func() {
 			now := s.Eng.Now()
 			st := s.Col.StageBegin(core.StageCPU, spec.Name, stats.CPU, now, 0, now)
 			remaining := spec.Threads
@@ -376,7 +376,7 @@ func (s *System) runOnCore(w *cpuWork) {
 
 func (s *System) startOnCore(id int, w *cpuWork) {
 	s.cores[id].RunTrace(s.Eng.Now(), stats.CPU, w.tr, func(end sim.Tick, flops uint64) {
-		s.Eng.AtD(sim.DomainCPU, end, func() { s.releaseCore(id) })
+		s.Eng.At(end, func() { s.releaseCore(id) })
 		w.done(end, flops)
 	})
 }

@@ -65,7 +65,7 @@ func (s *System) LaunchPersistent(spec PersistentKernelSpec, deps ...*Handle) *P
 		start := launchStart + launchDur
 		s.Col.AddActivityNamed(stats.CPU, "launch "+spec.Name, launchStart, start)
 		p.launchStart, p.launchDur = launchStart, launchDur
-		s.Eng.AtD(sim.DomainHost, start, func() {
+		s.Eng.At(start, func() {
 			s.gpu.LaunchPersistent(s.Eng.Now(), p.k)
 			p.opened.complete(s.Eng.Now())
 		})
@@ -99,7 +99,7 @@ func (p *PersistentKernel) Feed(ctas int, deps ...*Handle) *Handle {
 	allDeps = append(allDeps, deps...)
 	allDeps = append(allDeps, p.opened)
 	s.when(allDeps, func(ready sim.Tick) {
-		s.Eng.AtD(sim.DomainHost, ready+signalLat, func() {
+		s.Eng.At(ready+signalLat, func() {
 			now := s.Eng.Now()
 			ls, ld := now, sim.Tick(0)
 			if first {
@@ -131,7 +131,7 @@ func (p *PersistentKernel) Close() *Handle {
 	deps = append(deps, p.issues...)
 	deps = append(deps, p.opened)
 	s.when(deps, func(ready sim.Tick) {
-		s.Eng.AtD(sim.DomainHost, ready+signalLat, func() {
+		s.Eng.At(ready+signalLat, func() {
 			s.gpu.ClosePersistent(s.Eng.Now(), p.k)
 		})
 	})

@@ -62,9 +62,8 @@ type System struct {
 
 	roiOpen bool
 
-	// Intra-run parallel engine state. parReq is the requested worker count
-	// (WithParallel); par is nil for serial runs (including parallel
-	// requests that fell back).
+	// Intra-run parallel engine state. parReq is the -par value
+	// (WithParallel); par is nil for serial runs.
 	parReq int
 	par    *sim.ParEngine
 
@@ -108,10 +107,11 @@ func WithTrace(tr *trace.Recorder) Option {
 
 // WithParallel requests intra-run parallelism: 0 or 1 is the serial
 // engine; any par of 2 or more runs the timing thread plus one worker that
-// generates and compiles CTAs ahead of it. Results, counters,
-// traces, and run records are byte-identical for every value — par is a
-// scheduling knob, like a sweep's -jobs. A config with zero lookahead
-// falls back to serial and records the fallback.
+// generates and compiles CTAs ahead of it, in launch order. Results,
+// counters, traces, and run records are byte-identical for every value —
+// par is a scheduling knob, like a sweep's -jobs. A run that launches a
+// persistent kernel stops pipelining at that launch and records the
+// fallback.
 func WithParallel(par int) Option {
 	return func(s *System) { s.parReq = par }
 }
@@ -256,27 +256,14 @@ func NewSystemErr(cfg config.System, opts ...Option) (*System, error) {
 	s.gpu.Tr = s.Tr
 	s.gpu.Foot = s.Col.Footprint()
 
-	// Intra-run parallelism: derive the lookahead window from the config's
-	// minimum cross-domain latency; a zero window means no amount of
-	// pipelining is provably safe, so the run stays serial.
+	// Intra-run parallelism. The window (results the pipeline may hold
+	// ahead of the timing thread) is sized to the device's resident-CTA
+	// capacity: generation further ahead than the SMs could possibly
+	// consume buys nothing and holds compiled programs live.
 	if s.parReq >= 2 {
-		if la := sim.Tick(cfg.LookaheadNs() * float64(sim.Nanosecond)); la <= 0 {
-			sim.RecordSerialFallback(sim.FallbackZeroLookahead)
-		} else {
-			// The window (jobs the pipeline may run ahead) is sized to the
-			// device's resident-CTA capacity: generation further ahead than
-			// the SMs could possibly consume buys nothing and holds compiled
-			// programs live.
-			window := cfg.GPU.MaxCTAsPerSM * cfg.GPU.SMs * 2
-			if window < 8 {
-				window = 8
-			}
-			if window > 512 {
-				window = 512
-			}
-			s.par = sim.NewParEngine(s.parReq, window, la)
-			s.gpu.UsePar(s.par)
-		}
+		window := min(max(cfg.GPU.MaxCTAsPerSM*cfg.GPU.SMs*2, 8), 512)
+		s.par = sim.NewParEngine(window)
+		s.gpu.UsePar(s.par)
 	}
 
 	// Copy engine: PCIe DMA in the discrete system. The heterogeneous

@@ -118,13 +118,13 @@ type GPU struct {
 	queue  []*Kernel // FIFO of kernels with undispatched CTAs
 	warpsz int
 
-	// Par, when non-nil, pipelines CTA generation and compilation ahead of
+	// par, when non-nil, pipelines CTA generation and compilation ahead of
 	// the timing clock on its generation worker. parOK drops to
 	// false — permanently, for the rest of the run — at the first
 	// persistent-kernel launch, whose batch-by-batch dispatch order is
 	// timing-dependent and would break the generation-order guarantee for
 	// kernels launched after it.
-	Par   *sim.ParEngine
+	par   *sim.ParEngine
 	parOK bool
 
 	// Interned counter handles, resolved once in New — warp replay is the
@@ -197,7 +197,7 @@ func New(eng *sim.Engine, cfg config.GPUConfig, l1s []*memory.Cache, vmgr *vm.Ma
 // UsePar attaches a parallel engine: kernels launched from now on build
 // their CTA programs on its generation worker. Call before any launches.
 func (g *GPU) UsePar(p *sim.ParEngine) {
-	g.Par = p
+	g.par = p
 	g.parOK = p != nil
 }
 
@@ -210,7 +210,7 @@ func (g *GPU) Launch(at sim.Tick, k *Kernel) {
 	}
 	k.remaining = k.CTAs
 	k.nextCTA = 0
-	g.Eng.AtD(sim.DomainGPU, at, func() {
+	g.Eng.At(at, func() {
 		g.Tr.Instant(stats.GPU, "GPU dispatch", "kernel", "kernel queued: "+k.Name, g.Eng.Now(),
 			trace.Arg{Key: "ctas", Val: k.CTAs}, trace.Arg{Key: "block", Val: k.ThreadsPerTA})
 		if g.parOK {
@@ -229,7 +229,7 @@ func (g *GPU) Launch(at sim.Tick, k *Kernel) {
 // CTAs, in increasing index order, generate before a later kernel's
 // first).
 func (g *GPU) pipeline(k *Kernel) {
-	k.stream = g.Par.Pipeline(k.CTAs, func(i int) any { return g.build(k, i) })
+	k.stream = g.par.Pipeline(k.CTAs, func(i int) any { return g.build(k, i) })
 }
 
 // build generates CTA cta with k.Gen and compiles it: the one path from a
@@ -257,14 +257,14 @@ func (g *GPU) LaunchPersistent(at sim.Tick, k *Kernel) {
 	k.CTAs = 0
 	k.remaining = 0
 	k.nextCTA = 0
-	g.Eng.AtD(sim.DomainGPU, at, func() {
+	g.Eng.At(at, func() {
 		if g.parOK {
 			// A persistent kernel's CTAs generate at Feed-driven dispatch
 			// times, so generation order past this point is timing-dependent:
 			// stop pipelining new launches. Kernels already pipelined keep
 			// their streams — their generation was ordered before this event.
 			g.parOK = false
-			sim.RecordSerialFallback(sim.FallbackPersistentKernel)
+			sim.PersistentFallbacks.Inc()
 		}
 		g.Tr.Instant(stats.GPU, "GPU dispatch", "kernel", "persistent kernel opened: "+k.Name, g.Eng.Now(),
 			trace.Arg{Key: "block", Val: k.ThreadsPerTA})
@@ -279,7 +279,7 @@ func (g *GPU) Feed(at sim.Tick, k *Kernel, ctas int, done func(end sim.Tick, flo
 	if ctas <= 0 {
 		panic("gpucore: feed needs at least one CTA")
 	}
-	g.Eng.AtD(sim.DomainGPU, at, func() {
+	g.Eng.At(at, func() {
 		if !k.open {
 			panic("gpucore: Feed on closed kernel " + k.Name)
 		}
@@ -298,7 +298,7 @@ func (g *GPU) Feed(at sim.Tick, k *Kernel, ctas int, done func(end sim.Tick, flo
 // the resident kernel exits when it observes the stop flag); otherwise it
 // fires when the last CTA completes.
 func (g *GPU) ClosePersistent(at sim.Tick, k *Kernel) {
-	g.Eng.AtD(sim.DomainGPU, at, func() {
+	g.Eng.At(at, func() {
 		if !k.open {
 			return
 		}
@@ -383,7 +383,7 @@ func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 	var p *program
 	if k.stream != nil {
 		// Pipelined kernel: CTAs dispatch in increasing index order (the
-		// order the pump built them in), so the stream's next result is
+		// order the worker built them in), so the stream's next result is
 		// exactly this CTA's program.
 		p = k.stream.Next().(*program)
 	} else {
@@ -415,7 +415,7 @@ func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 	for wi := 0; wi < w; wi++ {
 		wp := s.takeWarp(cs, now)
 		wp.code, wp.lines = p.warp(wi)
-		s.g.Eng.AtD(sim.DomainGPU, now, wp.stepFn)
+		s.g.Eng.At(now, wp.stepFn)
 	}
 }
 
@@ -639,7 +639,7 @@ func (w *warp) step() {
 			}
 		}
 	}
-	g.Eng.AtD(sim.DomainGPU, w.t, w.stepFn)
+	g.Eng.At(w.t, w.stepFn)
 }
 
 // memoryOp issues a coalesced memory instruction over the warp's next n
@@ -679,7 +679,7 @@ func (w *warp) memoryOp(kind isa.OpKind, n int) bool {
 		return false
 	}
 	w.t = worst
-	g.Eng.AtD(sim.DomainGPU, worst, w.stepFn)
+	g.Eng.At(worst, w.stepFn)
 	return true
 }
 
@@ -702,7 +702,7 @@ func (w *warp) barrier() bool {
 	cs.waiting = cs.waiting[:0] // re-arrivals happen in later events; reuse capacity
 	for _, ww := range waiters {
 		ww.t = releaseT
-		w.sm.g.Eng.AtD(sim.DomainGPU, releaseT, ww.stepFn)
+		w.sm.g.Eng.At(releaseT, ww.stepFn)
 	}
 	w.t = releaseT
 	return false
@@ -720,7 +720,7 @@ func (cs *ctaState) tryRelease() {
 	cs.waiting = cs.waiting[:0]
 	for _, ww := range waiters {
 		ww.t = releaseT
-		cs.sm.g.Eng.AtD(sim.DomainGPU, releaseT, ww.stepFn)
+		cs.sm.g.Eng.At(releaseT, ww.stepFn)
 	}
 }
 

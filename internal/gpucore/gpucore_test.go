@@ -755,7 +755,7 @@ func (rr *replayRig) run() {
 	s.liveWarps++
 	wp := s.takeWarp(cs, rr.r.eng.Now())
 	wp.code, wp.lines = rr.prog.warp(0)
-	rr.r.eng.AtD(sim.DomainGPU, rr.r.eng.Now(), wp.stepFn)
+	rr.r.eng.At(rr.r.eng.Now(), wp.stepFn)
 	rr.r.eng.Run()
 }
 

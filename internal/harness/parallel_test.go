@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -215,10 +217,14 @@ func TestParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// engineMetric reads one parallel-engine series from the process registry.
+func engineMetric(key string) float64 { return metrics.Default.Snapshot()[key] }
+
 // TestParallelPersistentFallback checks a persistent kernel trips the
 // documented serial fallback without disturbing determinism: the mixed
 // workload (regular kernel, persistent kernel, regular kernel) stays
-// byte-identical at every par.
+// byte-identical at every par, and every parallel run counts exactly one
+// fallback under the persistent-kernel label.
 func TestParallelPersistentFallback(t *testing.T) {
 	run := func(s *device.System, _ bench.Mode, _ bench.Size) {
 		n := 1024
@@ -268,7 +274,51 @@ func TestParallelPersistentFallback(t *testing.T) {
 		serial := digestRun(t, run, mode, 0)
 		for _, par := range []int{2, 4, 8} {
 			label := fmt.Sprintf("persistent mode=%v par=%d", mode, par)
+			const fallbacks = `sim_engine_serial_fallback_total{reason="persistent-kernel"}`
+			before := engineMetric(fallbacks)
 			diffDigests(t, label, serial, digestRun(t, run, mode, par))
+			if got := engineMetric(fallbacks) - before; got != 1 {
+				t.Errorf("%s: %s rose by %v, want 1", label, fallbacks, got)
+			}
+		}
+	}
+}
+
+// TestParallelZeroLatency runs the parallel engine on systems whose
+// cross-component latencies are all zero — the configurations a lookahead
+// window would call unsafe. Generation order comes from launch order, not
+// from simulated time, so the pipelined runs must still match the serial
+// ones exactly.
+func TestParallelZeroLatency(t *testing.T) {
+	zero := func(cfg config.System) config.System {
+		cfg.SwitchLatNs, cfg.KernelLaunchNs, cfg.CacheToCacheNs = 0, 0, 0
+		cfg.PCIe.LatencyUs, cfg.VM.GPUFaultServNs, cfg.VM.CPUFaultServUs = 0, 0, 0
+		return cfg
+	}
+	digest := func(cfg config.System, run func(*device.System, bench.Mode, bench.Size), par int) runDigest {
+		rec := trace.New()
+		s := device.NewSystem(cfg, device.WithTrace(rec), device.WithParallel(par))
+		defer s.Release()
+		run(s, bench.ModeCopy, bench.SizeSmall)
+		rj, err := json.Marshal(s.Report("synth", "zero-latency").JSON())
+		if err != nil {
+			t.Fatalf("marshal report: %v", err)
+		}
+		return runDigest{
+			report: string(rj), simTime: s.Eng.Now(), events: s.Eng.EventsRun(),
+			result: s.Result, counters: s.Ctr.Snapshot(), trace: rec.Events(),
+		}
+	}
+	for _, cfg := range []config.System{zero(config.DiscreteGPU()), zero(config.HeteroProcessor())} {
+		for seed := int64(1); seed <= 3; seed++ {
+			run := synthRun(seed)
+			serial := digest(cfg, run, 0)
+			before := engineMetric("sim_engine_windows_total")
+			label := fmt.Sprintf("zero-latency kind=%v seed=%d par=2", cfg.Kind, seed)
+			diffDigests(t, label, serial, digest(cfg, run, 2))
+			if engineMetric("sim_engine_windows_total") == before {
+				t.Errorf("%s: the parallel engine never ran", label)
+			}
 		}
 	}
 }

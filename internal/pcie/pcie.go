@@ -70,13 +70,13 @@ func (e *Engine) Transfer(at sim.Tick, src, dst memory.Addr, n int, srcMem, dstM
 			dstMem.Access(lt, memory.Request{Addr: memory.LineAddr(dst, e.LineBytes) + off, Write: true, Comp: stats.Copy})
 		}
 		if lineIdx < lines {
-			e.Eng.AtD(sim.DomainPCIe, start+e.Setup+sim.Tick(lineIdx)*e.perLine, func() { emit(lineIdx) })
+			e.Eng.At(start+e.Setup+sim.Tick(lineIdx)*e.perLine, func() { emit(lineIdx) })
 			return
 		}
 		_ = t
 	}
-	e.Eng.AtD(sim.DomainPCIe, start+e.Setup, func() { emit(0) })
-	e.Eng.AtD(sim.DomainPCIe, end, func() { done(start, end) })
+	e.Eng.At(start+e.Setup, func() { emit(0) })
+	e.Eng.At(end, func() { done(start, end) })
 }
 
 // BusyTime reports total link occupancy.

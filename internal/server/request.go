@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -47,9 +48,9 @@ type SweepRequest struct {
 	// (its admission weight). 0 and 1 mean serial; values above the
 	// server's pool size are clamped to it.
 	Jobs int `json:"jobs,omitempty"`
-	// Parallel is each run's intra-run simulation worker count
-	// (harness.Spec.Parallel). 0 and 1 simulate serially; higher values
-	// pipeline trace generation inside every run. Results are
+	// Parallel is each run's intra-run parallelism (harness.Spec.Parallel).
+	// 0 and 1 simulate serially; 2 and up pipeline trace generation on one
+	// worker inside every run. Results are
 	// byte-identical for every value, so — like jobs — it is excluded
 	// from every key.
 	Parallel int `json:"parallel,omitempty"`
@@ -149,10 +150,17 @@ func validateFault(plan string) (*harness.FaultPlan, error) {
 	return fault, nil
 }
 
-// nonNegativeMs converts a request's millisecond field to a duration.
+// maxMs is the largest millisecond count a time.Duration can hold.
+const maxMs = math.MaxInt64 / int64(time.Millisecond)
+
+// nonNegativeMs converts a request's millisecond field to a duration,
+// rejecting values the conversion would wrap.
 func nonNegativeMs(name string, ms int64) (time.Duration, error) {
-	if ms < 0 {
+	switch {
+	case ms < 0:
 		return 0, badRequest("%s must be >= 0, got %d", name, ms)
+	case ms > maxMs:
+		return 0, badRequest("%s must be <= %d, got %d", name, maxMs, ms)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }

@@ -444,6 +444,10 @@ func TestBadRequests(t *testing.T) {
 		{"run without benchmark", "/v1/run", `{}`, 400},
 		{"run unknown benchmark", "/v1/run", `{"benchmark": "nope/nothere"}`, 400},
 		{"run bad mode", "/v1/run", `{"benchmark": "rodinia/backprop", "mode": "warp-speed"}`, 400},
+		{"deadline overflows", "/v1/sweep", `{"deadline_ms": 18446744073710}`, 400},
+		{"timeout overflows", "/v1/sweep", `{"timeout_ms": 9223372036855}`, 400},
+		{"run deadline overflows", "/v1/run", `{"benchmark": "rodinia/backprop", "deadline_ms": 18446744073710}`, 400},
+		{"run timeout overflows", "/v1/run", `{"benchmark": "rodinia/backprop", "timeout_ms": 9223372036855}`, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

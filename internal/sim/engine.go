@@ -269,11 +269,6 @@ type Engine struct {
 	// intr holds a pending external interrupt request; the loop notices it
 	// at the next pulse and panics with an *InterruptError.
 	intr atomic.Pointer[intrRequest]
-
-	// domains counts events scheduled through AtD per component domain —
-	// accounting only, read back via ScheduledByDomain. Untagged At/Schedule
-	// calls are not counted anywhere.
-	domains [NumDomains]uint64
 }
 
 // NewEngine returns an engine with simulated time at zero.
@@ -309,27 +304,6 @@ func (e *Engine) At(t Tick, fn func()) {
 	e.seq++
 	e.events.push(event{when: t, seq: e.seq, fn: fn})
 }
-
-// AtD is At with a component-domain tag: the event is counted against d in
-// the per-domain accounting and then scheduled exactly as At would. The tag
-// changes no ordering — (when, seq) stays the single total order — it exists
-// so runs can report how the event population partitions across domains.
-func (e *Engine) AtD(d Domain, t Tick, fn func()) {
-	e.domains[d]++
-	e.At(t, fn)
-}
-
-// ScheduleD is Schedule with a component-domain tag; see AtD.
-func (e *Engine) ScheduleD(d Domain, delay Tick, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.AtD(d, e.now+delay, fn)
-}
-
-// ScheduledByDomain reports how many events were scheduled through each
-// domain-tagged entry point. Call from the simulation goroutine.
-func (e *Engine) ScheduledByDomain() [NumDomains]uint64 { return e.domains }
 
 // SetBudget arms (or, with the zero Budget, disarms) run budgets. The wall
 // clock starts counting from this call; the event count from the current

@@ -1,28 +1,27 @@
-// Conservative intra-run parallelism for the discrete-event engine.
+// Intra-run parallelism for the discrete-event engine.
 //
 // The obvious conservative-PDES decomposition — one event heap per
-// component domain, advancing independently inside a lookahead window —
-// is unsound here: the timing models interact through synchronous
-// analytic calls (a warp's store walks L1→L2→fabric→DRAM inside one
-// event; BusyModel.Claim order is event execution order), so nearly
-// every event reads shared timing state and the cross-domain lookahead
-// collapses to a single event. What CAN leave the timing thread without
+// component, advancing independently inside a lookahead window — is
+// unsound here: the timing models interact through synchronous analytic
+// calls (a warp's store walks L1→L2→fabric→DRAM inside one event;
+// BusyModel.Claim order is event execution order), so nearly every event
+// reads shared timing state. What CAN leave the timing thread without
 // perturbing the (when, seq) total order is the work that produces
 // events' inputs rather than consuming simulated time: functional trace
 // generation (running kernel code to record lane traces) and compiling
 // those traces into warp programs (SIMT merge, address coalescing).
-// ParEngine runs that work on one generation worker, pipelined ahead of
-// the timing clock inside a bounded window, and the timing thread
-// consumes the results in exactly the order the serial engine would have
-// produced them — so results, counters, traces, and run records stay
-// byte-identical to the serial engine for every worker count.
 //
-// Domains partition scheduled events for accounting (Engine.AtD);
-// DomainGen is the off-thread one. A run whose configuration admits no
-// safe window (zero lookahead) or whose workload breaks the
-// generation-order guarantee (persistent kernels, whose batch dispatch
-// interleaves timing-dependently) falls back to the serial path and says
-// so in sim_engine_serial_fallback_total.
+// ParEngine runs that work on one generation worker. Like a double- or
+// triple-buffered pipeline, correctness rests on order, not on a timing
+// window: jobs are submitted at launch events on the timing thread, the
+// worker runs them strictly in submission order, and each Pipeline hands
+// its results to the timing thread through one bounded FIFO. The timing
+// thread therefore consumes exactly what the serial engine would have
+// built, in the order it would have built it — so results, counters,
+// traces, and run records stay byte-identical to the serial engine. A
+// workload that breaks the submission-order guarantee (persistent
+// kernels, whose batch dispatch interleaves timing-dependently) stops
+// pipelining and says so in sim_engine_serial_fallback_total.
 package sim
 
 import (
@@ -30,93 +29,15 @@ import (
 	"time"
 )
 
-// Domain identifies which component model an event (or off-thread job)
-// belongs to. The timing domains share one serial engine; Gen is the
-// parallel engine's off-thread stage.
-type Domain uint8
-
-const (
-	// DomainHost is host-side runtime work: launches, copies, dependency
-	// resolution, CPU task dispatch.
-	DomainHost Domain = iota
-	// DomainCPU is the CPU core timing model.
-	DomainCPU
-	// DomainGPU is the GPU SM/warp timing model.
-	DomainGPU
-	// DomainMem is the cache/fabric/DRAM hierarchy. Its models are
-	// synchronous analytic calls and schedule no events of their own —
-	// the coupling that rules out per-component event heaps.
-	DomainMem
-	// DomainPCIe is the copy-engine DMA pacing model.
-	DomainPCIe
-	// DomainVM is address translation and page-fault handling. Like
-	// DomainMem it is synchronous and schedules no events.
-	DomainVM
-	// DomainGen is off-thread functional trace generation and warp
-	// program compilation.
-	DomainGen
-
-	// NumDomains sizes per-domain accounting arrays.
-	NumDomains
-)
-
-// String names the domain.
-func (d Domain) String() string {
-	switch d {
-	case DomainHost:
-		return "host"
-	case DomainCPU:
-		return "cpu"
-	case DomainGPU:
-		return "gpu"
-	case DomainMem:
-		return "mem"
-	case DomainPCIe:
-		return "pcie"
-	case DomainVM:
-		return "vm"
-	case DomainGen:
-		return "gen"
-	default:
-		return "domain?"
-	}
-}
-
-// FallbackReason says why a run (or part of one) stayed on the serial
-// engine despite a -par request.
-type FallbackReason uint8
-
-const (
-	// FallbackZeroLookahead: the configuration's minimum cross-domain
-	// latency is zero, so no window exists in which workers may safely
-	// run ahead of the timing clock.
-	FallbackZeroLookahead FallbackReason = iota
-	// FallbackPersistentKernel: the run launched a persistent kernel,
-	// whose CTA batches dispatch in timing-dependent order — pipelining
-	// later kernels could reorder functional generation against it.
-	FallbackPersistentKernel
-
-	// NumFallbackReasons sizes the pre-resolved counter array.
-	NumFallbackReasons
-)
-
-// String names the fallback reason (the metric label value).
-func (r FallbackReason) String() string {
-	if r == FallbackZeroLookahead {
-		return "zero-lookahead"
-	}
-	return "persistent-kernel"
-}
-
-// ParEngine owns the worker goroutine of one parallel run: a single
-// generation worker, which executes submitted jobs strictly in
-// submission order (preserving the serial engine's generation order).
-// Every par of 2 and up runs the timing thread plus that one worker.
-// Build with NewParEngine; Release must be called when the run ends (the
-// harness defers it) so a panicking run cannot leak the goroutine.
+// ParEngine owns the generation worker of one parallel run. The worker
+// executes submitted jobs strictly in submission order, preserving the
+// serial engine's generation order. Build with NewParEngine; Release must
+// be called when the run ends (the harness defers it) so a panicking run
+// cannot leak the goroutine.
 type ParEngine struct {
-	window    int
-	lookahead Tick
+	// window is each Stream's buffer size: how many finished results the
+	// worker may hold ahead of the timing thread before it waits.
+	window int
 
 	dead      chan struct{}
 	closeOnce sync.Once
@@ -127,30 +48,18 @@ type ParEngine struct {
 	genQ    []func()
 }
 
-// NewParEngine builds the worker for one run. par < 2 returns nil
-// (serial run, no worker); window bounds how many jobs each Stream may
-// run ahead of its consumer; lookahead is the config-derived window
-// width recorded for diagnostics (callers must not construct a
-// ParEngine when it is zero — that is the serial fallback).
-func NewParEngine(par, window int, lookahead Tick) *ParEngine {
-	if par < 2 {
-		return nil
-	}
+// NewParEngine starts the worker for one run. window bounds how many
+// finished results each Stream may hold ahead of its consumer.
+func NewParEngine(window int) *ParEngine {
 	if window < 1 {
 		window = 1
 	}
-	p := &ParEngine{window: window, lookahead: lookahead, dead: make(chan struct{})}
+	p := &ParEngine{window: window, dead: make(chan struct{})}
 	p.genCond.L = &p.genMu
 	p.wg.Add(1)
 	go p.genWorker()
 	return p
 }
-
-// Window reports the per-stream flow-control window.
-func (p *ParEngine) Window() int { return p.window }
-
-// Lookahead reports the config-derived lookahead width.
-func (p *ParEngine) Lookahead() Tick { return p.lookahead }
 
 // Release shuts the worker down and waits for it to exit. Idempotent and
 // safe to call while jobs are in flight: the worker abandons a blocked
@@ -200,71 +109,56 @@ func (p *ParEngine) gen(fn func()) {
 	p.genCond.Signal()
 }
 
-// Result is one pipelined job's outcome: its value, or the panic that
+// result is one pipelined job's outcome: its value, or the panic that
 // killed it (re-raised on the timing thread at consumption, so the
 // harness classifies it exactly as it would a serial panic).
-type Result struct {
-	V        any
+type result struct {
+	v        any
 	panicVal any
 }
 
 // Stream delivers pipelined job results to the timing thread in
 // submission order. The timing thread calls Next once per job; the
-// producer side is driven by Pipeline.
+// worker side is driven by Pipeline.
 type Stream struct {
-	p     *ParEngine
-	slots chan chan Result
-	// admitted counts jobs in the current flow-control window, for the
-	// sim_engine_windows_total / _window_events accounting. Producer
-	// side only.
+	p       *ParEngine
+	results chan result
+	// admitted counts results sent in the current flow-control window,
+	// for the sim_engine_windows_total / _window_events accounting.
+	// Worker side only.
 	admitted int
-}
-
-// NewStream builds an ordered result stream with the engine's window as
-// its flow-control bound.
-func (p *ParEngine) NewStream() *Stream {
-	return &Stream{p: p, slots: make(chan chan Result, p.window)}
 }
 
 // Next blocks for the oldest unconsumed job's result. A job that
 // panicked re-panics here with the original value. Time spent waiting is
 // the timing side of sim_engine_stall_seconds.
 func (st *Stream) Next() any {
-	r := recv(recv(st.slots))
+	var r result
+	select {
+	case r = <-st.results:
+	default:
+		t0 := time.Now()
+		r = <-st.results
+		mStallTiming.Observe(time.Since(t0).Seconds())
+	}
 	if r.panicVal != nil {
 		panic(r.panicVal)
 	}
-	return r.V
+	return r.v
 }
 
-// recv receives from ch, counting any time it blocks as a timing-side
-// stall.
-func recv[T any](ch chan T) T {
+// send hands r to the consumer, blocking while the window of unconsumed
+// results is full; that wait is the gen side of sim_engine_stall_seconds.
+// Returns false when the engine died instead.
+func (st *Stream) send(r result) bool {
 	select {
-	case v := <-ch:
-		return v
-	default:
-	}
-	t0 := time.Now()
-	v := <-ch
-	mStallTiming.Observe(time.Since(t0).Seconds())
-	return v
-}
-
-// push admits the next job slot, blocking while the window is full (the
-// producer may run at most Window jobs ahead of the consumer); that wait
-// is the gen side of sim_engine_stall_seconds. Returns false when the
-// engine died instead.
-func (st *Stream) push() (chan Result, bool) {
-	slot := make(chan Result, 1)
-	select {
-	case st.slots <- slot:
+	case st.results <- r:
 	default:
 		t0 := time.Now()
 		select {
-		case st.slots <- slot:
+		case st.results <- r:
 		case <-st.p.dead:
-			return nil, false
+			return false
 		}
 		mStallGen.Observe(time.Since(t0).Seconds())
 	}
@@ -272,7 +166,7 @@ func (st *Stream) push() (chan Result, bool) {
 	if st.admitted == st.p.window {
 		st.flushWindow()
 	}
-	return slot, true
+	return true
 }
 
 // flushWindow closes one accounting window: one windows_total tick and
@@ -286,14 +180,14 @@ func (st *Stream) flushWindow() {
 	st.admitted = 0
 }
 
-// capture runs fn, converting a panic into a shippable Result.
-func capture(fn func() any) (r Result) {
+// capture runs fn, converting a panic into a shippable result.
+func capture(fn func() any) (r result) {
 	defer func() {
 		if pv := recover(); pv != nil {
-			r = Result{panicVal: pv}
+			r = result{panicVal: pv}
 		}
 	}()
-	return Result{V: fn()}
+	return result{v: fn()}
 }
 
 // Pipeline runs n ordered jobs on the generation worker and returns the
@@ -303,17 +197,12 @@ func capture(fn func() any) (r Result) {
 // per job, in order. A job that panics poisons the pipeline: its panic
 // ships to the consumer and no later job of this Pipeline runs.
 func (p *ParEngine) Pipeline(n int, gen func(i int) any) *Stream {
-	st := p.NewStream()
+	st := &Stream{p: p, results: make(chan result, p.window)}
 	p.gen(func() {
 		defer st.flushWindow()
 		for i := 0; i < n; i++ {
-			slot, ok := st.push()
-			if !ok {
-				return
-			}
 			r := capture(func() any { return gen(i) })
-			slot <- r
-			if r.panicVal != nil {
+			if !st.send(r) || r.panicVal != nil {
 				return
 			}
 		}
