@@ -60,10 +60,11 @@ func BenchmarkSweepSmall(b *testing.B) {
 
 // BenchmarkRunMedium measures one medium kmeans run end to end — the
 // intra-run parallel engine's target workload — serial and with the
-// run's trace generation pipelined on 4 workers. The speedup comes from
-// overlapping functional execution with the timing model, so it needs
-// spare cores: on a multi-core machine par=4 approaches the serial
-// timing-model cost alone, while on one core both cases cost about the
+// run's trace generation and compilation pipelined on one worker beside
+// the timing thread (every par >= 2 means that one worker). The speedup
+// comes from overlapping functional execution with the timing model, so
+// it needs a spare core: with one, par=4 approaches the larger of the
+// two sides' costs, while on a single core both cases cost about the
 // same (the pipeline degrades to interleaving, never to divergence).
 func BenchmarkRunMedium(b *testing.B) {
 	km, ok := bench.Get("rodinia/kmeans")

@@ -240,12 +240,3 @@ func ExecuteOnSystem(b Benchmark, s *device.System, mode Mode, size Size) *core.
 	b.Run(s, mode, size)
 	return s.Report(b.Info().FullName(), mode.String())
 }
-
-// ExecuteNamed runs a benchmark by full name.
-func ExecuteNamed(name string, mode Mode, size Size) (*core.Report, error) {
-	b, ok := Get(name)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", name)
-	}
-	return Execute(b, mode, size), nil
-}

@@ -134,11 +134,3 @@ func (cl *Classifier) Counts() [NumClasses]uint64 { return cl.counts }
 
 // Total returns the number of observed accesses.
 func (cl *Classifier) Total() uint64 { return cl.total }
-
-// Fraction reports class c's share of all observed accesses.
-func (cl *Classifier) Fraction(c Class) float64 {
-	if cl.total == 0 {
-		return 0
-	}
-	return float64(cl.counts[c]) / float64(cl.total)
-}

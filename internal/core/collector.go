@@ -185,13 +185,8 @@ func (c *Collector) StageEnd(s *Stage, end sim.Tick, flops, bytes uint64) {
 	c.snapshotPhase("end", s, end)
 }
 
-// AddActivity records extra component activity outside a stage (e.g. CPU
-// page-fault handler occupancy).
-func (c *Collector) AddActivity(comp stats.Component, start, end sim.Tick) {
-	c.addBusy(comp, "activity", "activity", start, end)
-}
-
-// AddActivityNamed is AddActivity with a descriptive trace label.
+// AddActivityNamed records extra component activity outside a stage
+// (e.g. CPU page-fault handler occupancy) under a descriptive trace label.
 func (c *Collector) AddActivityNamed(comp stats.Component, name string, start, end sim.Tick) {
 	c.addBusy(comp, "activity", name, start, end)
 }

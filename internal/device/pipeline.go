@@ -107,13 +107,6 @@ func (s *System) DoubleBuffer(spec PipelineSpec) *Handle {
 	return s.Pipeline(spec)
 }
 
-// TripleBuffer is Pipeline with Depth 3: three buffer slots, decoupling
-// upload, kernel, and download by a full chunk each.
-func (s *System) TripleBuffer(spec PipelineSpec) *Handle {
-	spec.Depth = 3
-	return s.Pipeline(spec)
-}
-
 // pipelineSpan emits the trace-lane span for one pipeline stage op: one
 // lane per buffer slot (chunk modulo depth), so Perfetto shows the classic
 // staircase of overlapped slots. Trace-only bookkeeping; untraced runs skip

@@ -112,8 +112,9 @@ type SweepOpts struct {
 	OnProgress func(name, mode string)
 	// PerRun, if set, may adjust each run's spec before it executes — the
 	// hook tests use to force a specific benchmark to fail. It is called
-	// once per slot, serially, before dispatch and before the slot's
-	// Store lookup, so the run key hashes the adjusted spec.
+	// once per slot, serially, wherever the sweep's specs are built
+	// (RunSweep before dispatch, SweepFingerprint), so run keys and the
+	// sweep's key hash the adjusted spec.
 	PerRun func(spec *harness.Spec)
 	// Trace records a per-run trace for every run; the recorders come back
 	// in Results.Traces for export.
@@ -164,19 +165,7 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 	// One slot per (benchmark, mode) run, in the registry's stable order —
 	// the order the serial sweep ran in, and the order assembly below
 	// walks regardless of which worker finishes first.
-	specs := sweepSlots(onlySet(opts.Only), harness.Spec{
-		Size: size, Budget: opts.Budget, Fault: opts.Fault,
-		Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
-		Parallel: opts.Parallel,
-	})
-	for i := range specs {
-		if opts.Trace {
-			specs[i].Trace = trace.New()
-		}
-		if opts.PerRun != nil {
-			opts.PerRun(&specs[i])
-		}
-	}
+	specs := sweepSpecs(size, opts)
 	exec := harness.Run
 	if opts.OnProgress != nil {
 		var progressMu sync.Mutex

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/harness"
 	"repro/internal/store"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -184,7 +186,7 @@ func TestSweepFingerprintIgnoresJobs(t *testing.T) {
 	}
 }
 
-// baseSpec is the run the run-key tables vary one input at a time.
+// baseSpec is the run the key tables vary one input at a time.
 func baseSpec(t *testing.T) harness.Spec {
 	t.Helper()
 	b, ok := bench.Get("rodinia/backprop")
@@ -194,34 +196,58 @@ func baseSpec(t *testing.T) harness.Spec {
 	return harness.Spec{Bench: b, Mode: bench.ModeCopy, Size: bench.SizeSmall}
 }
 
-// TestFingerprintExcludesParallel: the intra-run worker count is the same
-// kind of scheduling knob as Jobs — byte-identical results for every value
-// — so neither the sweep's document key nor any run key may depend on it,
-// nor on any other scheduling input.
-func TestFingerprintExcludesParallel(t *testing.T) {
-	a := resumeOpts()
-	a.Parallel = 0
-	b := resumeOpts()
-	b.Parallel = 8
-	if SweepFingerprint(bench.SizeSmall, a) != SweepFingerprint(bench.SizeSmall, b) {
-		t.Fatal("fingerprint must not depend on the intra-run worker count")
-	}
+// keyMutation changes one input of baseSpec's run and of the sweep of
+// baseSpec's benchmark. A nil spec leaves the run as is; a nil sweep
+// applies spec to every slot through PerRun.
+type keyMutation struct {
+	name  string
+	spec  func(*harness.Spec)
+	sweep func(*bench.Size, *SweepOpts)
+}
 
-	base := store.RunKey(baseSpec(t))
+// keysUnder returns the run key, the /v1/run document key and the sweep
+// key with m applied (the base keys for the zero keyMutation).
+func keysUnder(t *testing.T, m keyMutation) [3]string {
+	t.Helper()
+	spec := baseSpec(t)
+	if m.spec != nil {
+		m.spec(&spec)
+	}
+	size, opts := bench.SizeSmall, SweepOpts{Only: []string{"rodinia/backprop"}}
+	switch {
+	case m.sweep != nil:
+		m.sweep(&size, &opts)
+	case m.spec != nil:
+		opts.PerRun = m.spec
+	}
+	return [3]string{store.RunKey(spec), RunDocKey(spec), SweepFingerprint(size, opts)}
+}
+
+var keyNames = [3]string{"run key", "run document key", "sweep key"}
+
+// TestFingerprintExcludesParallel: scheduling inputs — worker counts, the
+// request ID, cancellation and progress hooks — leave results
+// byte-identical, so none of them may move the run key, the /v1/run
+// document key or the sweep key.
+func TestFingerprintExcludesParallel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for name, mutate := range map[string]func(*harness.Spec){
-		"parallel":   func(s *harness.Spec) { s.Parallel = 8 },
-		"backoff":    func(s *harness.Spec) { s.Backoff = time.Second },
-		"jitter":     func(s *harness.Spec) { s.Jitter = 0.5 },
-		"request id": func(s *harness.Spec) { s.RequestID = "req-7" },
-		"ctx":        func(s *harness.Spec) { s.Ctx = ctx },
-		"on retry":   func(s *harness.Spec) { s.OnRetry = func(bench.Size, *harness.RunError) {} },
+	base := keysUnder(t, keyMutation{})
+	for _, m := range []keyMutation{
+		{"parallel", func(s *harness.Spec) { s.Parallel = 8 }, func(_ *bench.Size, o *SweepOpts) { o.Parallel = 8 }},
+		{"jobs", nil, func(_ *bench.Size, o *SweepOpts) { o.Jobs = 8 }},
+		{"request id", func(s *harness.Spec) { s.RequestID = "req-7" }, func(_ *bench.Size, o *SweepOpts) { o.RequestID = "req-7" }},
+		{"ctx", func(s *harness.Spec) { s.Ctx = ctx }, func(_ *bench.Size, o *SweepOpts) { o.Ctx, o.RunCtx = ctx, ctx }},
+		{"progress", func(s *harness.Spec) { s.OnRetry = func(bench.Size, *harness.RunError) {} }, func(_ *bench.Size, o *SweepOpts) {
+			o.Progress = sweep.NewTracker(io.Discard, 0)
+			o.OnProgress = func(string, string) {}
+			o.OnStored = func(int) {}
+		}},
 	} {
-		spec := baseSpec(t)
-		mutate(&spec)
-		if store.RunKey(spec) != base {
-			t.Errorf("run key depends on scheduling input %q", name)
+		for i, k := range keysUnder(t, m) {
+			if k != base[i] {
+				t.Errorf("%s depends on scheduling input %q", keyNames[i], m.name)
+			}
 		}
 	}
 }
@@ -243,10 +269,11 @@ func (b *modeSetBench) Run(s *device.System, mode bench.Mode, size bench.Size) {
 }
 
 // TestFingerprintCoversModeSet: a benchmark's organization list is part
-// of the sweep fingerprint, so a document stored before the benchmark
-// gained an extra mode can never alias the new sweep. Likewise every
-// result-determining input of a run changes its run key, and no run key
-// equals a document key.
+// of the sweep fingerprint (through its slot list), so a document stored
+// before the benchmark gained an extra mode can never alias the new
+// sweep. Likewise every result-determining input of a run moves its run
+// key, its /v1/run document key and the sweep key, and no two of the
+// resulting keys are equal.
 func TestFingerprintCoversModeSet(t *testing.T) {
 	stub := &modeSetBench{}
 	bench.Register(stub)
@@ -263,41 +290,45 @@ func TestFingerprintCoversModeSet(t *testing.T) {
 		t.Fatal("restoring the mode set must restore the fingerprint")
 	}
 
-	kmeans, _ := bench.Get("rodinia/kmeans")
 	fault, err := harness.ParseFaultPlan("pcie=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := store.RunKey(baseSpec(t))
-	if !strings.HasPrefix(base, store.RunKeyPrefix) {
-		t.Fatalf("run key %q lacks the %q prefix", base, store.RunKeyPrefix)
+	base := keysUnder(t, keyMutation{})
+	if !strings.HasPrefix(base[0], store.RunKeyPrefix) {
+		t.Fatalf("run key %q lacks the %q prefix", base[0], store.RunKeyPrefix)
 	}
-	keys := map[string]string{"base": base}
-	for name, mutate := range map[string]func(*harness.Spec){
-		"bench":        func(s *harness.Spec) { s.Bench = kmeans },
-		"mode":         func(s *harness.Spec) { s.Mode = bench.ModeLimitedCopy },
-		"size":         func(s *harness.Spec) { s.Size = bench.SizeMedium },
-		"fault":        func(s *harness.Spec) { s.Fault = fault },
-		"max_events":   func(s *harness.Spec) { s.Budget.MaxEvents = 1000 },
-		"timeout":      func(s *harness.Spec) { s.Budget.Timeout = time.Minute },
-		"max_attempts": func(s *harness.Spec) { s.MaxAttempts = 1 },
-		"stall":        func(s *harness.Spec) { s.Stall = time.Minute },
-		"trace":        func(s *harness.Spec) { s.Trace = trace.New() },
-	} {
-		spec := baseSpec(t)
-		mutate(&spec)
-		k := store.RunKey(spec)
-		for other, ok := range keys {
-			if k == ok {
-				t.Errorf("run key for changed %s equals the key for %s", name, other)
+	keys := map[string]string{"mode set sweep key": before}
+	add := func(name string, ks [3]string) {
+		for i, k := range ks {
+			label := name + " " + keyNames[i]
+			for other, ok := range keys {
+				if k == ok {
+					t.Errorf("%s equals %s", label, other)
+				}
 			}
+			keys[label] = k
 		}
-		keys[name] = k
 	}
-	for name, k := range keys {
-		if k == before || k == SweepFingerprint(bench.SizeSmall, resumeOpts()) {
-			t.Errorf("run key %s collides with a document key", name)
-		}
+	add("base", base)
+	for _, m := range []keyMutation{
+		{"bench", func(s *harness.Spec) { s.Bench, _ = bench.Get("rodinia/kmeans") },
+			func(_ *bench.Size, o *SweepOpts) { o.Only = []string{"rodinia/kmeans"} }},
+		{"mode", func(s *harness.Spec) { s.Mode = bench.ModeLimitedCopy }, nil},
+		{"size", func(s *harness.Spec) { s.Size = bench.SizeMedium },
+			func(size *bench.Size, _ *SweepOpts) { *size = bench.SizeMedium }},
+		{"fault", func(s *harness.Spec) { s.Fault = fault },
+			func(_ *bench.Size, o *SweepOpts) { o.Fault = fault }},
+		{"max_events", func(s *harness.Spec) { s.Budget.MaxEvents = 1000 },
+			func(_ *bench.Size, o *SweepOpts) { o.Budget.MaxEvents = 1000 }},
+		{"timeout", func(s *harness.Spec) { s.Budget.Timeout = time.Minute },
+			func(_ *bench.Size, o *SweepOpts) { o.Budget.Timeout = time.Minute }},
+		{"stall", func(s *harness.Spec) { s.Stall = time.Minute },
+			func(_ *bench.Size, o *SweepOpts) { o.Stall = time.Minute }},
+		{"trace", func(s *harness.Spec) { s.Trace = trace.New() },
+			func(_ *bench.Size, o *SweepOpts) { o.Trace = true }},
+	} {
+		add(m.name, keysUnder(t, m))
 	}
 }
 
@@ -310,7 +341,7 @@ func TestSweepStoreOnDisk(t *testing.T) {
 	res, _, _ := countingSweep(t, dir, bench.SizeSmall, opts)
 
 	var want []string
-	for _, s := range sweepSlots(onlySet(opts.Only), harness.Spec{Size: bench.SizeSmall}) {
+	for _, s := range sweepSpecs(bench.SizeSmall, opts) {
 		want = append(want, store.RunKey(s)+".entry")
 	}
 	sort.Strings(want)

@@ -1,78 +1,69 @@
 package experiments
 
 import (
-	"strconv"
-
 	"repro/internal/bench"
 	"repro/internal/harness"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
-// sweepSlots builds the sweep's run slots, each a copy of tmpl: every
-// registered benchmark (filtered by only when non-nil) in copy and
-// limited-copy mode plus its extra modes, in the registry's stable order.
-func sweepSlots(only map[string]bool, tmpl harness.Spec) []harness.Spec {
-	var slots []harness.Spec
+// sweepSpecs builds the runs a sweep of (size, opts) executes: one spec
+// per (benchmark, mode) slot — every selected benchmark in each of its
+// modes, in the registry's stable order — carrying the sweep's budgets,
+// fault plan, stall window, tracing and PerRun adjustment. RunSweep runs
+// exactly these specs and SweepFingerprint hashes exactly their run keys.
+func sweepSpecs(size bench.Size, opts SweepOpts) []harness.Spec {
+	var only map[string]bool
+	if opts.Only != nil {
+		only = map[string]bool{}
+		for _, n := range opts.Only {
+			only[n] = true
+		}
+	}
+	tmpl := harness.Spec{
+		Size: size, Budget: opts.Budget, Fault: opts.Fault,
+		Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
+		Parallel: opts.Parallel,
+	}
+	var specs []harness.Spec
 	for _, b := range bench.All() {
 		if only != nil && !only[b.Info().FullName()] {
 			continue
 		}
 		for _, m := range b.Info().Modes() {
-			tmpl.Bench, tmpl.Mode = b, m
-			slots = append(slots, tmpl)
+			spec := tmpl
+			spec.Bench, spec.Mode = b, m
+			if opts.Trace {
+				spec.Trace = trace.New()
+			}
+			if opts.PerRun != nil {
+				opts.PerRun(&spec)
+			}
+			specs = append(specs, spec)
 		}
 	}
-	return slots
-}
-
-func onlySet(only []string) map[string]bool {
-	if only == nil {
-		return nil
-	}
-	set := map[string]bool{}
-	for _, n := range only {
-		set[n] = true
-	}
-	return set
+	return specs
 }
 
 // SweepFingerprint is the key of a sweep's response document: a hash of
-// everything that determines the sweep's results — the simulated system
-// configurations, the input size, the ordered (benchmark, mode) slot
-// list, the fault plan, the per-run budgets, and whether tracing is on.
-// The worker counts (Jobs, Parallel) are deliberately excluded: results
-// are identical for every value, so a sweep served with jobs 8 is the
-// same document as one served with jobs 1. Each slot's run record has
-// its own key (store.RunKey); this one names the assembled document.
+// the ordered run keys of the runs the sweep executes. A document is a
+// pure function of its runs, so the key moves exactly when a run's
+// result inputs do, or when the slot list changes (a benchmark gaining or
+// losing an organization adds or drops a slot). The worker counts (Jobs,
+// Parallel) stay out because run keys leave them out: a sweep served with
+// jobs 8 is the same document as one served with jobs 1.
 func SweepFingerprint(size bench.Size, opts SweepOpts) string {
-	var fp store.Fingerprint
-	fp.Add("version", store.Version)
-	fp.AddSystems()
-	fp.Add("size", size.String())
-	// Each benchmark's full organization list, explicitly. The slot list
-	// below already encodes it implicitly, but hashing the mode set by
-	// name guarantees a document written before a benchmark
-	// gained (or lost) an organization can never alias the new sweep, even
-	// if slot enumeration is ever restructured.
-	only := onlySet(opts.Only)
-	for _, b := range bench.All() {
-		info := b.Info()
-		if only != nil && !only[info.FullName()] {
-			continue
-		}
-		line := info.FullName()
-		for _, m := range info.Modes() {
-			line += " " + m.String()
-		}
-		fp.Add("modes", line)
+	specs := sweepSpecs(size, opts)
+	keys := make([]string, len(specs))
+	for i := range specs {
+		keys[i] = store.RunKey(specs[i])
 	}
-	for _, s := range sweepSlots(only, harness.Spec{}) {
-		fp.Add("slot", s.Bench.Info().FullName()+"|"+s.Mode.String())
-	}
-	fp.Add("fault", opts.Fault.String())
-	fp.Add("max_events", strconv.FormatUint(opts.Budget.MaxEvents, 10))
-	fp.Add("timeout", opts.Budget.Timeout.String())
-	fp.Add("stall", opts.Stall.String())
-	fp.Add("trace", strconv.FormatBool(opts.Trace))
-	return fp.Sum()
+	return store.DocKey("sweep", keys...)
+}
+
+// RunDocKey is the key of one run's response document (hetsimd's
+// /v1/run): a hash of the run's key, so the document moves exactly when
+// its run does, yet never shares a key with the run's record.
+func RunDocKey(spec harness.Spec) string {
+	return store.DocKey("run", store.RunKey(spec))
 }

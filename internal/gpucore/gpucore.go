@@ -746,12 +746,3 @@ const gpuSrcID = 100
 
 // SrcID reports the GPU hierarchy's coherence source ID.
 func SrcID() int { return gpuSrcID }
-
-// BusyIssueTime sums per-SM issue-port busy time, a utilization aid.
-func (g *GPU) BusyIssueTime() sim.Tick {
-	var t sim.Tick
-	for _, s := range g.sms {
-		t += s.issue.BusyTime()
-	}
-	return t
-}

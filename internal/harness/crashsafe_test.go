@@ -159,20 +159,19 @@ func TestRunWallDurations(t *testing.T) {
 }
 
 // TestOutcomeRecordRoundTrip is the byte-identity foundation of resume:
-// an Outcome pushed through its run record and back must render the
-// same report text and the same JSON document as the original.
+// an Outcome pushed through its run record (its JSON form) and back must
+// render the same report text and the same JSON document as the original.
 func TestOutcomeRecordRoundTrip(t *testing.T) {
 	check := func(t *testing.T, out *Outcome) {
 		t.Helper()
-		data, err := json.Marshal(out.Record())
+		data, err := json.Marshal(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rec OutcomeRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
+		back := &Outcome{}
+		if err := json.Unmarshal(data, back); err != nil {
 			t.Fatal(err)
 		}
-		back := rec.Outcome()
 		if back.Sys != nil {
 			t.Fatal("replayed outcome must not carry a live system")
 		}
@@ -189,7 +188,7 @@ func TestOutcomeRecordRoundTrip(t *testing.T) {
 			t.Fatalf("outcome JSON changed across the round trip:\n%s\nvs\n%s", aj, bj)
 		}
 		// Re-recording must be byte-stable too (record idempotence).
-		data2, _ := json.Marshal(back.Record())
+		data2, _ := json.Marshal(back)
 		if string(data) != string(data2) {
 			t.Fatal("record is not byte-stable across a round trip")
 		}
@@ -216,4 +215,30 @@ func TestOutcomeRecordRoundTrip(t *testing.T) {
 		}
 		check(t, out)
 	})
+}
+
+// TestRunRecordGolden pins the run-record format: bodies written by
+// an earlier build (one success, one degraded failure with its trace
+// tails) must still decode into an Outcome and re-encode to the same
+// bytes, so state dirs written before a refactor of Outcome stay
+// readable.
+func TestRunRecordGolden(t *testing.T) {
+	for name, body := range map[string]string{
+		"success": `{"report":{"Benchmark":"fake/ok","System":"hetero-processor","Mode":"limited-copy","ROI":5001,"Breakdown":{"Start":0,"End":5001,"BySet":{"0":5001}},"CPUActive":0,"GPUActive":0,"CopyActive":0,"CPUUtil":0,"GPUUtil":0,"Cserial":0,"Rco":0,"Rmc":0,"OppCost":1,"FootprintBytes":0,"Footprint":{},"DRAMAccesses":[0,0,0],"ClassCounts":[0,0,0,0,0,0],"BWLimitedFrac":0,"FLOPs":[0,0,0],"Stages":0,"Phases":null},"attempts":1,"size":0,"sim_time":5001,"events":5001,"wall":411417}`,
+		"failure": `{"err":{"Benchmark":"fake/slow","Mode":0,"Size":0,"Kind":1,"Msg":"sim: event budget exceeded (1000 events, limit 1000) at sim time 0.000 ms","SimTime":1000,"Events":1000,"Stack":null,"Attempt":2,"Wall":163743,"TraceTail":[{"Name":"attempt 2 start (small)","Cat":"harness","Track":"harness","Comp":0,"Kind":1,"Start":0,"End":0,"Activity":false,"Args":null,"Seq":1},{"Name":"run failed: budget-exceeded","Cat":"harness","Track":"harness","Comp":0,"Kind":1,"Start":1000,"End":1000,"Activity":false,"Args":null,"Seq":2}]},"attempts":2,"size":0,"degraded":true,"sim_time":1000,"events":1000,"wall":511781,"attempt_errors":[{"Benchmark":"fake/slow","Mode":0,"Size":1,"Kind":1,"Msg":"sim: event budget exceeded (1000 events, limit 1000) at sim time 0.000 ms","SimTime":1000,"Events":1000,"Stack":null,"Attempt":1,"Wall":348038,"TraceTail":[{"Name":"attempt 1 start (medium)","Cat":"harness","Track":"harness","Comp":0,"Kind":1,"Start":0,"End":0,"Activity":false,"Args":null,"Seq":1},{"Name":"run failed: budget-exceeded","Cat":"harness","Track":"harness","Comp":0,"Kind":1,"Start":1000,"End":1000,"Activity":false,"Args":null,"Seq":2}]},{"Benchmark":"fake/slow","Mode":0,"Size":0,"Kind":1,"Msg":"sim: event budget exceeded (1000 events, limit 1000) at sim time 0.000 ms","SimTime":1000,"Events":1000,"Stack":null,"Attempt":2,"Wall":163743,"TraceTail":[{"Name":"attempt 2 start (small)","Cat":"harness","Track":"harness","Comp":0,"Kind":1,"Start":0,"End":0,"Activity":false,"Args":null,"Seq":1},{"Name":"run failed: budget-exceeded","Cat":"harness","Track":"harness","Comp":0,"Kind":1,"Start":1000,"End":1000,"Activity":false,"Args":null,"Seq":2}]}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			out := &Outcome{}
+			if err := json.Unmarshal([]byte(body), out); err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != body {
+				t.Fatalf("record re-encodes differently:\n got %s\nwant %s", got, body)
+			}
+		})
+	}
 }

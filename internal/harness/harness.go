@@ -17,7 +17,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"time"
 
@@ -116,8 +115,10 @@ type Budget struct {
 	Timeout   time.Duration
 }
 
-// Default retry policy: one retry (two attempts).
-const defaultMaxAttempts = 2
+// maxAttempts caps a run's attempts: the run plus one retry at the
+// next-smaller size. Only budget and timeout failures retry, and only
+// when a smaller size exists to degrade to.
+const maxAttempts = 2
 
 // Spec describes one benchmark run.
 type Spec struct {
@@ -142,22 +143,6 @@ type Spec struct {
 	// Fault, when non-nil, injects hardware degradations into the run's
 	// system configuration.
 	Fault *FaultPlan
-	// MaxAttempts caps total attempts (0 means 2: the run plus one retry
-	// at the next-smaller size). Only budget/timeout failures retry, and
-	// only when a smaller size exists to degrade to.
-	MaxAttempts int
-	// Backoff is the base delay before a retry, doubled per attempt. Zero
-	// means no delay: the simulator is deterministic, so waiting cannot
-	// change a retry's outcome and would only idle a sweep worker. Set it
-	// for fault-injection experiments that deliberately want spaced
-	// attempts.
-	Backoff time.Duration
-	// Jitter spreads each retry delay uniformly within ±Jitter×delay
-	// (clamped to [0,1]), so concurrent pool workers retrying against the
-	// same injected fault do not retry in lockstep. Zero keeps the exact
-	// doubled Backoff. With Backoff zero there is no delay to spread, so
-	// Jitter has no effect and zero-backoff sweeps stay deterministic.
-	Jitter float64
 	// Trace, when non-nil, receives every trace event the run's hardware
 	// models emit (all attempts record into the same sink, separated by
 	// harness lifecycle instants). When nil, the harness still records a
@@ -198,27 +183,40 @@ const tailLen = 32
 
 // Outcome is the result of harness.Run: either a Report or a RunError,
 // plus how the run got there.
+//
+// Its JSON form is the run record the store keeps per completed run, so a
+// later sweep or request rebuilds the outcome exactly and renders
+// byte-identical reports. Every field but Sys round-trips: a simulated
+// machine cannot (and need not) be serialized, so a decoded outcome
+// carries a nil Sys and consumers that inspect live counters must guard
+// for it. The round trip is lossless because core.Report encodes exactly
+// (integer Ticks, shortest-form floats), which is what lets a resumed
+// sweep's stdout match an uninterrupted sweep's byte for byte. The
+// human-oriented OutcomeJSON form is lossy (millisecond floats) and is
+// not used for records.
 type Outcome struct {
-	Report *core.Report
-	Err    *RunError // nil on success
+	Report *core.Report `json:"report,omitempty"`
+	Err    *RunError    `json:"err,omitempty"` // nil on success
 	// Sys is the simulated machine of the final attempt (for counter
-	// inspection); nil if system construction itself failed.
-	Sys      *device.System
-	Attempts int
-	Size     bench.Size // size that actually ran (may be degraded)
-	Degraded bool       // true when Size is smaller than requested
-	SimTime  sim.Tick
-	Events   uint64
-	// Wall is the total wall-clock time across all attempts; each failed
-	// attempt's own duration is on its AttemptErrors entry.
-	Wall time.Duration
+	// inspection); nil if system construction itself failed or the
+	// outcome was decoded from a run record.
+	Sys      *device.System `json:"-"`
+	Attempts int            `json:"attempts"`
+	Size     bench.Size     `json:"size"`               // size that actually ran (may be degraded)
+	Degraded bool           `json:"degraded,omitempty"` // true when Size is smaller than requested
+	SimTime  sim.Tick       `json:"sim_time"`
+	Events   uint64         `json:"events"`
+	// Wall is the total wall-clock time across all attempts, as integer
+	// nanoseconds in JSON; each failed attempt's own duration is on its
+	// AttemptErrors entry.
+	Wall time.Duration `json:"wall"`
 	// AttemptErrors records every failed attempt in order, so a degraded
 	// success still reports what the earlier attempts hit. On an overall
 	// failure the last entry equals *Err.
-	AttemptErrors []RunError
+	AttemptErrors []RunError `json:"attempt_errors,omitempty"`
 	// TraceEvents is how many events Spec.Trace holds after the run (zero
 	// when the run was untraced).
-	TraceEvents int
+	TraceEvents int `json:"trace_events,omitempty"`
 }
 
 // Run executes one benchmark run fault-tolerantly. It never panics and
@@ -243,10 +241,6 @@ func Run(spec Spec) *Outcome {
 
 // run is Run without the lifecycle metrics.
 func run(spec Spec) *Outcome {
-	maxAttempts := spec.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = defaultMaxAttempts
-	}
 	size := spec.Size
 	var attemptErrs []RunError
 	var totalWall time.Duration
@@ -286,30 +280,10 @@ func run(spec Spec) *Outcome {
 		if spec.OnRetry != nil {
 			spec.OnRetry(smaller, out.Err)
 		}
+		// No delay before the retry: the simulator is deterministic, so
+		// waiting cannot change its outcome and would only idle a worker.
 		size = smaller
-		if spec.Backoff > 0 {
-			time.Sleep(retryDelay(spec.Backoff, spec.Jitter, attempt))
-		}
 	}
-}
-
-// retryDelay computes the sleep before retry number attempt+1: the base
-// backoff doubled per attempt, spread uniformly within ±jitter of that
-// value. The spread keeps a pool of workers that all hit the same
-// injected fault from hammering it again in lockstep. jitter is clamped
-// to [0,1], so the delay never goes negative and never exceeds twice the
-// un-jittered value.
-func retryDelay(backoff time.Duration, jitter float64, attempt int) time.Duration {
-	d := backoff << (attempt - 1)
-	if jitter <= 0 || d <= 0 {
-		return d
-	}
-	if jitter > 1 {
-		jitter = 1
-	}
-	// Uniform in [d*(1-jitter), d*(1+jitter)].
-	spread := (2*rand.Float64() - 1) * jitter * float64(d)
-	return d + time.Duration(spread)
 }
 
 // runOnce executes a single attempt, recovering any abort into a RunError.

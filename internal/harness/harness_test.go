@@ -160,8 +160,7 @@ func TestRunEventBudget(t *testing.T) {
 			s.EndROI() // drains forever without a budget
 		}},
 		Mode: bench.ModeLimitedCopy, Size: bench.SizeSmall,
-		Budget:  Budget{MaxEvents: 5000},
-		Backoff: time.Millisecond,
+		Budget: Budget{MaxEvents: 5000},
 	})
 	if out.Err == nil || out.Err.Kind != KindBudget {
 		t.Fatalf("outcome = %+v", out.Err)
@@ -184,8 +183,7 @@ func TestRunWallClockBudget(t *testing.T) {
 			s.EndROI()
 		}},
 		Mode: bench.ModeLimitedCopy, Size: bench.SizeSmall,
-		Budget:  Budget{Timeout: 30 * time.Millisecond},
-		Backoff: time.Millisecond,
+		Budget: Budget{Timeout: 30 * time.Millisecond},
 	})
 	if out.Err == nil || out.Err.Kind != KindTimeout {
 		t.Fatalf("outcome = %+v", out.Err)
@@ -206,8 +204,7 @@ func TestRunRetryDegradesSize(t *testing.T) {
 			s.EndROI()
 		}},
 		Mode: bench.ModeLimitedCopy, Size: bench.SizeMedium,
-		Budget:  Budget{MaxEvents: 10000},
-		Backoff: time.Millisecond,
+		Budget: Budget{MaxEvents: 10000},
 	})
 	if out.Err != nil {
 		t.Fatalf("degraded retry should have succeeded: %v", out.Err)
@@ -265,9 +262,9 @@ func TestRunAttemptErrors(t *testing.T) {
 }
 
 // TestRunRetryNoDefaultBackoff: the simulator is deterministic, so a retry
-// must not sleep unless the spec opts in — a sleeping retry would idle a
-// sweep worker for nothing. The failing medium attempt burns only 10k
-// events, so anything near the old 50ms default backoff is a regression.
+// never sleeps — a sleeping retry would idle a sweep worker for nothing.
+// The failing medium attempt burns only 10k events, so anything near a
+// backoff delay is a regression.
 func TestRunRetryNoDefaultBackoff(t *testing.T) {
 	start := time.Now()
 	out := Run(Spec{
@@ -291,75 +288,6 @@ func TestRunRetryNoDefaultBackoff(t *testing.T) {
 	}
 }
 
-// TestRetryDelayJitterBounds: a jittered retry delay must stay within
-// ±jitter of the doubled backoff, actually vary across draws (that is the
-// point — de-lockstepping pool workers), and degenerate exactly when
-// jitter or backoff is zero.
-func TestRetryDelayJitterBounds(t *testing.T) {
-	const base = 10 * time.Millisecond
-	for _, attempt := range []int{1, 2, 3} {
-		want := base << (attempt - 1)
-		// No jitter: the exact doubled backoff, every time.
-		for i := 0; i < 10; i++ {
-			if d := retryDelay(base, 0, attempt); d != want {
-				t.Fatalf("attempt %d jitter 0: delay %v, want %v", attempt, d, want)
-			}
-		}
-		for _, jitter := range []float64{0.25, 1, 2.5 /* clamped to 1 */} {
-			clamped := jitter
-			if clamped > 1 {
-				clamped = 1
-			}
-			lo := time.Duration(float64(want) * (1 - clamped))
-			hi := time.Duration(float64(want) * (1 + clamped))
-			distinct := map[time.Duration]bool{}
-			for i := 0; i < 200; i++ {
-				d := retryDelay(base, jitter, attempt)
-				if d < lo || d > hi {
-					t.Fatalf("attempt %d jitter %v: delay %v outside [%v,%v]", attempt, jitter, d, lo, hi)
-				}
-				distinct[d] = true
-			}
-			if len(distinct) < 2 {
-				t.Fatalf("attempt %d jitter %v: 200 draws produced no spread", attempt, jitter)
-			}
-		}
-	}
-	// Zero backoff stays zero under any jitter: the zero-backoff
-	// determinism contract (TestRunRetryNoDefaultBackoff) is unaffected
-	// by a spec that also sets Jitter.
-	if d := retryDelay(0, 0.5, 1); d != 0 {
-		t.Fatalf("zero backoff with jitter: delay %v, want 0", d)
-	}
-}
-
-// TestRunZeroBackoffIgnoresJitter: a spec with Jitter set but Backoff
-// zero must not sleep between attempts — jitter spreads a delay, it never
-// introduces one.
-func TestRunZeroBackoffIgnoresJitter(t *testing.T) {
-	start := time.Now()
-	out := Run(Spec{
-		Bench: fakeBench{name: "jitter-no-backoff", run: func(s *device.System, mode bench.Mode, size bench.Size) {
-			n := 100
-			if size == bench.SizeMedium {
-				n = 100000
-			}
-			s.BeginROI()
-			burnEvents(s, n)
-			s.EndROI()
-		}},
-		Mode: bench.ModeLimitedCopy, Size: bench.SizeMedium,
-		Budget: Budget{MaxEvents: 10000},
-		Jitter: 0.8,
-	})
-	if out.Err != nil || out.Attempts != 2 {
-		t.Fatalf("err=%v attempts=%d", out.Err, out.Attempts)
-	}
-	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
-		t.Fatalf("jitter without backoff slept: retry took %v", elapsed)
-	}
-}
-
 // TestRunNoRetryAtSmallest: small has nothing to degrade to, so a budget
 // failure is final (the simulator is deterministic; same input, same
 // exhaustion).
@@ -371,8 +299,7 @@ func TestRunNoRetryAtSmallest(t *testing.T) {
 			s.EndROI()
 		}},
 		Mode: bench.ModeLimitedCopy, Size: bench.SizeSmall,
-		Budget:  Budget{MaxEvents: 1000},
-		Backoff: time.Millisecond,
+		Budget: Budget{MaxEvents: 1000},
 	})
 	if out.Err == nil || out.Err.Kind != KindBudget || out.Attempts != 1 {
 		t.Fatalf("outcome = %+v (attempts %d)", out.Err, out.Attempts)
@@ -516,8 +443,7 @@ func TestEngineBudgetArmedPerAttempt(t *testing.T) {
 			s.EndROI()
 		}},
 		Mode: bench.ModeLimitedCopy, Size: bench.SizeMedium,
-		Budget:  Budget{MaxEvents: 1000},
-		Backoff: time.Millisecond,
+		Budget: Budget{MaxEvents: 1000},
 	})
 	if out.Err != nil || attempts != 2 {
 		t.Fatalf("err=%v attempts=%d", out.Err, attempts)

@@ -334,11 +334,3 @@ func (c *Cache) FlushAll(now sim.Tick) {
 			trace.Arg{Key: "writebacks", Val: wb})
 	}
 }
-
-// ResetTiming clears port busy state but keeps tag contents; used when
-// reusing a system across ROI phases in tests.
-func (c *Cache) ResetTiming() {
-	for i := range c.banks {
-		c.banks[i].Reset()
-	}
-}

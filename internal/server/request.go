@@ -6,24 +6,22 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/store"
 )
 
 // SweepRequest is the JSON body of POST /v1/sweep: which benchmarks to
 // sweep and under what budgets. Everything is optional; the zero request
 // sweeps every registered benchmark at the small size with no budgets.
 // Fields that change simulation results (benchmarks, size, budgets, fault
-// plan, stall) are part of the request fingerprint and of every run's
-// key; fields that only change scheduling (jobs, parallel, backoff,
-// jitter) or request lifetime (deadline) are not, so the same experiment
-// always maps to the same stored document and runs.
+// plan, stall) are part of every run's key and so of the document key;
+// fields that only change scheduling (jobs, parallel) or request lifetime
+// (deadline) are not, so the same experiment always maps to the same
+// stored document and runs.
 type SweepRequest struct {
 	// Benchmarks restricts the sweep to these full names ("suite/name");
 	// empty sweeps every registered benchmark.
@@ -54,10 +52,6 @@ type SweepRequest struct {
 	// byte-identical for every value, so — like jobs — it is excluded
 	// from every key.
 	Parallel int `json:"parallel,omitempty"`
-	// BackoffMs and Jitter space retry attempts (see harness.Spec);
-	// timing-only, so they are excluded from every key.
-	BackoffMs int64   `json:"backoff_ms,omitempty"`
-	Jitter    float64 `json:"jitter,omitempty"`
 }
 
 // RunRequest is the JSON body of POST /v1/run: one benchmark, one mode.
@@ -68,15 +62,13 @@ type RunRequest struct {
 	// "parallel-chunked".
 	Mode string `json:"mode,omitempty"`
 	// The remaining knobs mirror SweepRequest.
-	Size       string  `json:"size,omitempty"`
-	MaxEvents  uint64  `json:"max_events,omitempty"`
-	TimeoutMs  int64   `json:"timeout_ms,omitempty"`
-	StallMs    int64   `json:"stall_ms,omitempty"`
-	Fault      string  `json:"fault,omitempty"`
-	DeadlineMs int64   `json:"deadline_ms,omitempty"`
-	Parallel   int     `json:"parallel,omitempty"`
-	BackoffMs  int64   `json:"backoff_ms,omitempty"`
-	Jitter     float64 `json:"jitter,omitempty"`
+	Size       string `json:"size,omitempty"`
+	MaxEvents  uint64 `json:"max_events,omitempty"`
+	TimeoutMs  int64  `json:"timeout_ms,omitempty"`
+	StallMs    int64  `json:"stall_ms,omitempty"`
+	Fault      string `json:"fault,omitempty"`
+	DeadlineMs int64  `json:"deadline_ms,omitempty"`
+	Parallel   int    `json:"parallel,omitempty"`
 }
 
 // badRequestError is a request-validation failure: the client's fault,
@@ -203,13 +195,6 @@ func resolveSweep(req *SweepRequest, maxJobs int) (*sweepParams, error) {
 	if p.deadline, err = nonNegativeMs("deadline_ms", req.DeadlineMs); err != nil {
 		return nil, err
 	}
-	backoff, err := nonNegativeMs("backoff_ms", req.BackoffMs)
-	if err != nil {
-		return nil, err
-	}
-	if req.Jitter < 0 || req.Jitter > 1 {
-		return nil, badRequest("jitter must be in [0,1], got %v", req.Jitter)
-	}
 	if req.Jobs < 0 {
 		return nil, badRequest("jobs must be >= 0, got %d", req.Jobs)
 	}
@@ -235,15 +220,9 @@ func resolveSweep(req *SweepRequest, maxJobs int) (*sweepParams, error) {
 	if len(req.Benchmarks) > 0 {
 		p.opts.Only = req.Benchmarks
 	}
-	if backoff > 0 {
-		p.opts.PerRun = func(spec *harness.Spec) {
-			spec.Backoff = backoff
-			spec.Jitter = req.Jitter
-		}
-	}
-	// The fingerprint covers exactly what determines results; jobs,
-	// parallel, deadline, and retry spacing are excluded by the same rule
-	// the run keys follow (results are identical for every value).
+	// The fingerprint hashes the sweep's run keys, so jobs, parallel and
+	// deadline stay out of it by the rule the run keys follow (results
+	// are identical for every value).
 	p.fingerprint = experiments.SweepFingerprint(p.size, p.opts)
 	return p, nil
 }
@@ -292,13 +271,6 @@ func resolveRun(req *RunRequest) (*runParams, error) {
 	if err != nil {
 		return nil, err
 	}
-	backoff, err := nonNegativeMs("backoff_ms", req.BackoffMs)
-	if err != nil {
-		return nil, err
-	}
-	if req.Jitter < 0 || req.Jitter > 1 {
-		return nil, badRequest("jitter must be in [0,1], got %v", req.Jitter)
-	}
 	if req.Parallel < 0 {
 		return nil, badRequest("parallel must be >= 0, got %d", req.Parallel)
 	}
@@ -309,31 +281,9 @@ func resolveRun(req *RunRequest) (*runParams, error) {
 			Fault:    fault,
 			Stall:    stall,
 			Parallel: req.Parallel,
-			Backoff:  backoff,
-			Jitter:   req.Jitter,
 		},
 		deadline: deadline,
 	}
-	p.fingerprint = runFingerprint(req.Benchmark, mode, size, fault, p.spec.Budget, stall)
+	p.fingerprint = experiments.RunDocKey(p.spec)
 	return p, nil
-}
-
-// runFingerprint is the key of a single run's response document. It
-// hashes the same result-determining inputs as the run's record key
-// (store.RunKey) under a different kind label and without the key prefix,
-// so the document and the record it is built from never share a key.
-func runFingerprint(benchName string, mode bench.Mode, size bench.Size,
-	fault *harness.FaultPlan, budget harness.Budget, stall time.Duration) string {
-	var fp store.Fingerprint
-	fp.Add("version", store.Version)
-	fp.Add("kind", "run")
-	fp.AddSystems()
-	fp.Add("bench", benchName)
-	fp.Add("mode", mode.String())
-	fp.Add("size", size.String())
-	fp.Add("fault", fault.String())
-	fp.Add("max_events", strconv.FormatUint(budget.MaxEvents, 10))
-	fp.Add("timeout", budget.Timeout.String())
-	fp.Add("stall", stall.String())
-	return fp.Sum()
 }

@@ -16,7 +16,7 @@
 //     handler-level recover turns server bugs into 500s.
 //   - Durability: one CRC-verified content-addressed store (internal/store)
 //     holds every completed run under its run key and every completed
-//     response under its request fingerprint. A run is its own
+//     response under a hash of its runs' keys. A run is its own
 //     checkpoint, so a killed daemon resumes rather than restarts, and any
 //     request reuses the runs an earlier run or sweep already simulated;
 //     a repeated request is a disk read. Corrupt entries quarantine and

@@ -416,7 +416,9 @@ func TestRunCacheHit(t *testing.T) {
 }
 
 // TestBadRequests: malformed and invalid requests all map to structured
-// 400s (405 for wrong methods) without touching the simulator.
+// 400s (405 for wrong methods) without touching the simulator. Strict
+// decoding rejects the retired retry knobs (backoff_ms, jitter) like any
+// other unknown field.
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	s.runSweep = func(size bench.Size, opts experiments.SweepOpts) (*experiments.Results, []harness.RunError) {
@@ -437,7 +439,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown benchmark", "/v1/sweep", `{"benchmarks": ["nope/nothere"]}`, 400},
 		{"bad size", "/v1/sweep", `{"size": "jumbo"}`, 400},
 		{"negative deadline", "/v1/sweep", `{"deadline_ms": -1}`, 400},
-		{"jitter out of range", "/v1/sweep", `{"jitter": 1.5}`, 400},
+		{"sweep jitter", "/v1/sweep", `{"jitter": 0.5}`, 400},
+		{"sweep backoff", "/v1/sweep", `{"backoff_ms": 10}`, 400},
 		{"negative jobs", "/v1/sweep", `{"jobs": -2}`, 400},
 		{"bad fault plan", "/v1/sweep", `{"fault": "pcie=banana"}`, 400},
 		{"bad stream", "/v1/sweep?stream=xml", `{}`, 400},
@@ -448,6 +451,8 @@ func TestBadRequests(t *testing.T) {
 		{"timeout overflows", "/v1/sweep", `{"timeout_ms": 9223372036855}`, 400},
 		{"run deadline overflows", "/v1/run", `{"benchmark": "rodinia/backprop", "deadline_ms": 18446744073710}`, 400},
 		{"run timeout overflows", "/v1/run", `{"benchmark": "rodinia/backprop", "timeout_ms": 9223372036855}`, 400},
+		{"run jitter", "/v1/run", `{"benchmark": "rodinia/backprop", "jitter": 0.5}`, 400},
+		{"run backoff", "/v1/run", `{"benchmark": "rodinia/backprop", "backoff_ms": 10}`, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,6 +63,3 @@ func (b *BusyModel) FreeAt() Tick { return b.freeAt }
 
 // BusyTime reports accumulated busy time.
 func (b *BusyModel) BusyTime() Tick { return b.busy }
-
-// Reset clears the model.
-func (b *BusyModel) Reset() { b.freeAt, b.busy = 0, 0 }

@@ -2,9 +2,10 @@ package store
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/fsx"
@@ -21,56 +22,77 @@ const Version = "1"
 // even by a hash collision — and a directory listing tells them apart.
 const RunKeyPrefix = "run-"
 
-// Fingerprint builds a key: it hashes a sequence of labeled parts into a
+// fingerprint builds a key: it hashes a sequence of labeled parts into a
 // stable hex digest. Parts are length-prefixed so no concatenation of
-// different part lists collides.
-type Fingerprint struct {
+// different part lists collides. It is unexported so that RunKey stays
+// the one list of result inputs; every other key is built from run keys.
+type fingerprint struct {
 	parts []string
 }
 
 // Add appends one labeled part.
-func (fp *Fingerprint) Add(label, value string) {
+func (fp *fingerprint) Add(label, value string) {
 	fp.parts = append(fp.parts, label, value)
 }
 
 // Sum returns the hex digest over all parts added so far.
-func (fp *Fingerprint) Sum() string {
-	var b strings.Builder
+func (fp *fingerprint) Sum() string {
+	var b []byte
 	for _, p := range fp.parts {
-		fmt.Fprintf(&b, "%d:%s", len(p), p)
+		b = strconv.AppendInt(b, int64(len(p)), 10)
+		b = append(b, ':')
+		b = append(b, p...)
 	}
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-// AddSystems hashes the compiled-in simulated machines, so a code change
-// to either one stops old entries from matching.
-func (fp *Fingerprint) AddSystems() {
+// systems is a digest of the compiled-in simulated machines, computed
+// once per process: every run key hashes it, so a code change to either
+// machine stops old entries from matching.
+var systems = sync.OnceValue(func() string {
+	var fp fingerprint
 	fp.Add("discrete", fmt.Sprintf("%+v", config.DiscreteGPU()))
 	fp.Add("hetero", fmt.Sprintf("%+v", config.HeteroProcessor()))
-}
+	return fp.Sum()
+})
 
-// RunKey is the key of one run's record: a hash of everything that
-// determines the run's outcome — benchmark, mode, size, both simulated
-// machines, fault plan, event and wall-clock budgets, attempt cap, stall
-// window, and whether the run is traced. Scheduling inputs (intra-run
-// workers, retry backoff and jitter, the request ID, cancellation and
-// progress hooks) are left out: results are byte-identical for every
-// value, so a run simulated for one request serves any other.
+// RunKey is the key of one run's record, and the one list of what
+// determines a run's outcome: benchmark, mode, size, both simulated
+// machines, fault plan, event and wall-clock budgets, stall window, and
+// whether the run is traced. Scheduling inputs (intra-run workers, the
+// request ID, cancellation and progress hooks) are left out: results are
+// byte-identical for every value, so a run simulated for one request
+// serves any other. Document keys (DocKey) are built from run keys, so
+// they follow this list too.
 func RunKey(spec harness.Spec) string {
-	var fp Fingerprint
+	var fp fingerprint
 	fp.Add("version", Version)
 	fp.Add("kind", "record")
-	fp.AddSystems()
+	fp.Add("systems", systems())
 	fp.Add("bench", spec.Bench.Info().FullName())
 	fp.Add("mode", spec.Mode.String())
 	fp.Add("size", spec.Size.String())
 	fp.Add("fault", spec.Fault.String())
 	fp.Add("max_events", strconv.FormatUint(spec.Budget.MaxEvents, 10))
 	fp.Add("timeout", spec.Budget.Timeout.String())
-	fp.Add("max_attempts", strconv.Itoa(spec.MaxAttempts))
 	fp.Add("stall", spec.Stall.String())
 	fp.Add("trace", strconv.FormatBool(spec.Trace != nil))
 	return RunKeyPrefix + fp.Sum()
+}
+
+// DocKey is the key of a response document assembled from runs: a hash
+// of the document's kind and its runs' keys, in order. A document is a
+// pure function of its runs, so its key moves exactly when one of theirs
+// does.
+func DocKey(kind string, runKeys ...string) string {
+	var fp fingerprint
+	fp.Add("version", Version)
+	fp.Add("kind", kind)
+	for _, k := range runKeys {
+		fp.Add("run", k)
+	}
+	return fp.Sum()
 }
 
 // SyncDir fsyncs the directory at dir. A freshly created or renamed file

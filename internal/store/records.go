@@ -36,12 +36,12 @@ func (r *Records) Get(key string) *harness.Outcome {
 	if !ok {
 		return nil
 	}
-	var rec harness.OutcomeRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
+	out := &harness.Outcome{}
+	if err := json.Unmarshal(body, out); err != nil {
 		r.st.quarantine(key, fmt.Errorf("bad run record: %w", err))
 		return nil
 	}
-	return rec.Outcome()
+	return out
 }
 
 // Put durably stores a completed run under key. Canceled outcomes are
@@ -57,7 +57,7 @@ func (r *Records) Put(key string, out *harness.Outcome) {
 	if r.err != nil {
 		return
 	}
-	body, err := json.Marshal(out.Record())
+	body, err := json.Marshal(out)
 	if err == nil {
 		err = r.st.Put(key, body)
 	}

@@ -2,13 +2,14 @@
 // behind every command that persists them. It holds two kinds of entry,
 // each under a key that hashes what determines it:
 //
-//   - a run record: one completed run's harness.OutcomeRecord JSON under
-//     its run key (RunKey). Every sweep slot, single run and hetsim
+//   - a run record: one completed run's harness.Outcome JSON under its
+//     run key (RunKey). Every sweep slot, single run and hetsim
 //     invocation first looks its key up, so a completed run is its own
 //     checkpoint — an interrupted sweep resumes by lookup — and any later
 //     request that needs the same run reuses it.
-//   - a response document: hetsimd's served bytes under the request
-//     fingerprint, so a repeated request is a disk read.
+//   - a response document: hetsimd's served bytes under a document key
+//     (DocKey) hashed from its runs' keys, so a repeated request is a
+//     disk read.
 //
 // Entries are written atomically (temp file, fsync, rename, directory
 // fsync) and verified on every read by a CRC32-Castagnoli checksum over

@@ -37,7 +37,7 @@ func entryFiles(t *testing.T, dir string) []string {
 }
 
 func TestFingerprintHelper(t *testing.T) {
-	var a, b Fingerprint
+	var a, b fingerprint
 	a.Add("size", "small")
 	a.Add("bench", "rodinia/bfs|copy")
 	b.Add("size", "small")
@@ -45,13 +45,13 @@ func TestFingerprintHelper(t *testing.T) {
 	if a.Sum() != b.Sum() {
 		t.Fatal("same parts must hash equal")
 	}
-	var c Fingerprint
+	var c fingerprint
 	c.Add("size", "smallbench")
 	c.Add("", "rodinia/bfs|copy")
 	if a.Sum() == c.Sum() {
 		t.Fatal("length-prefixing must prevent concatenation collisions")
 	}
-	var d Fingerprint
+	var d fingerprint
 	d.Add("size", "large")
 	d.Add("bench", "rodinia/bfs|copy")
 	if a.Sum() == d.Sum() {
@@ -233,7 +233,7 @@ func BenchmarkPut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body, err := json.Marshal(sampleOutcome().Record())
+	body, err := json.Marshal(sampleOutcome())
 	if err != nil {
 		b.Fatal(err)
 	}
