@@ -10,20 +10,22 @@
 //	            [-trace FILE] [-flame] [-progress]
 //	            [-cpuprofile FILE] [-memprofile FILE] [-pprof ADDR]
 //
-// Figures 4-10 come from one shared sweep of every benchmark in copy and
-// limited-copy mode (plus each benchmark's restructured organizations);
-// Figure 3 additionally runs the kmeans restructured organizations, and
-// Figure 10 compares every measured overlapped organization against the
-// Eq. 1 Rco bound from its baseline run. The sweep's runs execute on
-// -jobs workers (default GOMAXPROCS), and -par additionally parallelizes
-// each run internally — the sweep's, Figure 3's and the fault matrix's
+// Figures 3-10 come from one shared sweep of every benchmark in copy and
+// limited-copy mode (plus each benchmark's restructured organizations):
+// Figure 3 is its four kmeans runs (alone, without -only, it sweeps just
+// kmeans), and Figure 10 compares every measured overlapped organization
+// against the Eq. 1 Rco bound from its baseline run. The fault matrix
+// runs like the sweep; only the ablations, which vary the machine config
+// itself, run on their own. Runs execute on -jobs workers (default
+// GOMAXPROCS), and -par additionally parallelizes each run internally
 // (trace generation pipelined against the timing model); output is
 // byte-identical for every -jobs and -par value.
 // Sweeps are fault-tolerant: a run that panics, deadlocks, or exceeds its
 // -timeout/-max-events budget is recorded and footnoted in the figures
 // instead of aborting the sweep. -inject degrades the simulated hardware
-// for every run (see -exp faults for the curated degradation matrix).
-// -csv and -json export the sweep's rows for external tooling.
+// for every sweep run, Figure 3's included (the fault matrix sets its own
+// plans; see -exp faults). -csv and -json export the sweep's rows for
+// external tooling.
 //
 // -trace records the shared sweep into a Chrome trace-event / Perfetto
 // JSON file (one process per run; open it at https://ui.perfetto.dev).
@@ -31,16 +33,18 @@
 // emits live per-run start/retry/done lines on stderr; figures on stdout
 // stay byte-identical with it on or off.
 //
-// -state DIR makes the shared sweep crash-safe: every completed run is
-// stored durably in the run store at DIR (see internal/store), keyed by
-// what determines its result, and every run looks its key up first. A
-// rerun with the same -state — after an interrupt, or with a sweep that
-// overlaps an earlier one — simulates only the missing runs and produces
-// output byte-identical to a sweep that simulated everything.
+// -state DIR makes the sweep and the fault matrix crash-safe: every
+// completed run is stored durably in the run store at DIR (see
+// internal/store), keyed by what determines its result, and every run
+// looks its key up first. A rerun with the same -state — after an
+// interrupt, or with a sweep that overlaps an earlier one — simulates
+// only the missing runs and produces output byte-identical to a sweep
+// that simulated everything.
 // SIGINT/SIGTERM shut down gracefully: the first signal stops dispatching
 // new runs, drains (and stores) the in-flight ones, and writes a
 // partial report; a second signal aborts the in-flight runs too; a third
-// restores default signal behavior. An interrupted sweep exits 130.
+// restores default signal behavior. An interrupted sweep exits 130; a
+// signal during the ablations, which run first, still kills at once.
 // -stall kills any run whose simulated clock stops advancing for the
 // given wall-clock window while events still execute (a livelock) and
 // footnotes it like any other failed run.
@@ -54,11 +58,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -73,6 +79,21 @@ import (
 	_ "repro/internal/suites/parboil"
 	_ "repro/internal/suites/rodinia"
 )
+
+// figureText renders each figure of the shared sweep; sweepFigures is
+// their output order.
+var (
+	figureText = map[string]func(*experiments.Results) string{
+		"fig3": experiments.Fig3Text, "fig4": experiments.Fig4Text,
+		"fig5": experiments.Fig5Text, "fig6": experiments.Fig6Text,
+		"fig7": experiments.Fig7Text, "fig8": experiments.Fig8Text,
+		"fig9": experiments.Fig9Text, "fig10": experiments.Fig10Text,
+	}
+	sweepFigures = []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}
+)
+
+// experimentNames are the names -exp accepts.
+var experimentNames = append([]string{"all", "table1", "table2", "ablation", "faults"}, sweepFigures...)
 
 func main() {
 	os.Exit(run())
@@ -91,7 +112,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited)")
 	maxEvents := flag.Uint64("max-events", 0, "simulation event budget per run (0 = unlimited)")
 	stall := flag.Duration("stall", 0, "kill a run whose simulated time stops advancing for this long (0 = disabled)")
-	stateDir := flag.String("state", "", "keep the shared sweep's runs in the run store at DIR and reuse the ones it already holds")
+	stateDir := flag.String("state", "", "keep the sweep's and the fault matrix's runs in the run store at DIR and reuse the ones it already holds")
 	inject := flag.String("inject", "", "hardware fault plan for every run, e.g. pcie=0.25,fault=8,dram=0:100:600")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	metricsDump := flag.Bool("metrics", false, "print run-lifecycle metrics (Prometheus text format) to stderr at exit")
@@ -150,16 +171,11 @@ func run() int {
 		}
 	}
 
-	size := bench.SizeSmall
-	switch *sizeFlag {
-	case "small":
-	case "medium":
-		size = bench.SizeMedium
-	default:
-		fmt.Fprintf(os.Stderr, "unknown size %q\n", *sizeFlag)
+	size, err := bench.ParseSize(*sizeFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-size: %v\n", err)
 		return 2
 	}
-	budget := harness.Budget{MaxEvents: *maxEvents, Timeout: *timeout}
 	fault, err := harness.ParseFaultPlan(*inject)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-inject: %v\n", err)
@@ -168,7 +184,12 @@ func run() int {
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experimentNames, e) {
+			fmt.Fprintf(os.Stderr, "-exp: unknown experiment %q (valid: %s)\n", e, strings.Join(experimentNames, ", "))
+			return 2
+		}
+		want[e] = true
 	}
 	all := want["all"]
 	sel := func(name string) bool { return all || want[name] }
@@ -185,41 +206,23 @@ func run() int {
 		}
 		fmt.Println(experiments.AblationText(size))
 	}
-	if sel("faults") {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "running fault-injection sweep (baseline + injected per case)...")
-		}
-		fmt.Println(experiments.FaultSweepText(experiments.FaultSweep(size, budget, *par)))
-	}
-	if sel("fig3") {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "running kmeans case study (4 organizations)...")
-		}
-		rows, errs := experiments.Fig3(size, budget, *par)
-		fmt.Println(experiments.Fig3Text(rows, errs))
-	}
 
-	needSweep := false
-	for _, f := range []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} {
+	var sweepFigs []string
+	for _, f := range sweepFigures {
 		if sel(f) {
-			needSweep = true
+			sweepFigs = append(sweepFigs, f)
 		}
 	}
-	if !needSweep {
+	if !sel("faults") && len(sweepFigs) == 0 {
 		return 0
 	}
 	opts := experiments.SweepOpts{
-		Budget:   budget,
+		Budget:   harness.Budget{MaxEvents: *maxEvents, Timeout: *timeout},
 		Fault:    fault,
 		Jobs:     *jobs,
 		Parallel: *par,
 		Stall:    *stall,
 		Trace:    *tracePath != "" || *flame,
-		OnProgress: func(name, mode string) {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "running %s (%s)...\n", name, mode)
-			}
-		},
 	}
 	if *only != "" {
 		for _, n := range strings.Split(*only, ",") {
@@ -227,9 +230,15 @@ func run() int {
 				opts.Only = append(opts.Only, n)
 			}
 		}
+	} else if slices.Equal(sweepFigs, []string{"fig3"}) {
+		// Figure 3 alone needs only the kmeans runs of the sweep.
+		opts.Only = []string{"rodinia/kmeans"}
 	}
+	// Each RunSpecs call gets its own tracker, as a tracker's [k/n]
+	// counters accumulate; one without a writer prints nothing.
+	var progressOut io.Writer
 	if *progress {
-		opts.Progress = sweep.NewTracker(os.Stderr, 0)
+		progressOut = os.Stderr
 	}
 	st, err := experiments.StateRunner(*stateDir, os.Stderr)
 	if err != nil {
@@ -239,24 +248,58 @@ func run() int {
 	opts.Store, opts.OnStored = st.Store, st.OnStored
 	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
 	opts.Ctx, opts.RunCtx = dispatchCtx, runCtx
-	res, errs := experiments.RunSweep(size, opts)
+	// completed and total count the fault matrix's and the sweep's runs
+	// for the interrupt notice.
+	completed, total := 0, 0
+	if sel("faults") {
+		if !*quiet {
+			fmt.Fprintln(os.Stderr, "running fault-injection sweep (baseline + injected per case)...")
+		}
+		fo := opts
+		fo.Progress = sweep.NewTracker(progressOut, 0)
+		rows := experiments.FaultSweep(size, fo)
+		for _, fr := range rows {
+			for _, out := range []*harness.Outcome{fr.Baseline, fr.Injected} {
+				total++
+				if out != nil {
+					completed++
+				}
+			}
+		}
+		fmt.Println(experiments.FaultSweepText(rows))
+	}
+	var res *experiments.Results
+	if len(sweepFigs) > 0 {
+		opts.Progress = sweep.NewTracker(progressOut, 0)
+		var errs []harness.RunError
+		res, errs = experiments.RunSweep(size, opts)
+		for i := range errs {
+			fmt.Fprintf(os.Stderr, "run failed: %v\n", &errs[i])
+		}
+		completed += len(res.Runs)
+		total += len(res.Runs) + len(res.Skipped)
+	}
 	// Read the interrupt state before stopSignals, which cancels both
 	// contexts as part of releasing the handler.
 	interrupted := dispatchCtx.Err() != nil
 	stopSignals()
-	for i := range errs {
-		fmt.Fprintf(os.Stderr, "run failed: %v\n", &errs[i])
-	}
 	if err := opts.Store.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "warning: storing runs failed mid-sweep: %v\n", err)
 		fmt.Fprintln(os.Stderr, "warning: the sweep continued without persistence (degraded); results below are complete but an interrupted re-run cannot resume past this point")
 	}
+	code := 0
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "sweep interrupted: %d of %d runs completed; output below is a partial report\n",
-			len(res.Runs), len(res.Runs)+len(res.Skipped))
+			completed, total)
 		if *stateDir != "" {
 			fmt.Fprintf(os.Stderr, "resume with: -state %s\n", *stateDir)
 		}
+		// 128 + SIGINT, the conventional interrupted-process exit code;
+		// scripts (and the resume test) distinguish it from run failures.
+		code = 130
+	}
+	if res == nil {
+		return code
 	}
 	if *tracePath != "" {
 		if err := trace.WriteFile(*tracePath, res.Traces); err != nil {
@@ -288,31 +331,8 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "wrote JSON to %s\n", *jsonPath)
 		}
 	}
-	if sel("fig4") {
-		fmt.Println(experiments.Fig4Text(res))
+	for _, f := range sweepFigs {
+		fmt.Println(figureText[f](res))
 	}
-	if sel("fig5") {
-		fmt.Println(experiments.Fig5Text(res))
-	}
-	if sel("fig6") {
-		fmt.Println(experiments.Fig6Text(res))
-	}
-	if sel("fig7") {
-		fmt.Println(experiments.Fig7Text(res))
-	}
-	if sel("fig8") {
-		fmt.Println(experiments.Fig8Text(res))
-	}
-	if sel("fig9") {
-		fmt.Println(experiments.Fig9Text(res))
-	}
-	if sel("fig10") {
-		fmt.Println(experiments.Fig10Text(res))
-	}
-	if interrupted {
-		// 128 + SIGINT, the conventional interrupted-process exit code;
-		// scripts (and the resume test) distinguish it from run failures.
-		return 130
-	}
-	return 0
+	return code
 }

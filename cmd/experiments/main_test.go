@@ -167,3 +167,69 @@ func TestStateReusesOverlappingRuns(t *testing.T) {
 		t.Fatalf("overlapping sweep differs from a fresh one\n--- fresh\n%s\n--- reused\n%s", fresh.Bytes(), out.Bytes())
 	}
 }
+
+// exitCode runs bin with args and returns its exit status and stderr.
+func exitCode(t *testing.T, bin string, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), stdout.String(), stderr.String()
+	}
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return 0, stdout.String(), stderr.String()
+}
+
+// TestRejectsUnknownExperiment: a misspelled -exp name is a usage error
+// naming the bad name and the valid list, not a silently empty run.
+func TestRejectsUnknownExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess integration test")
+	}
+	bin := buildBinary(t, t.TempDir())
+	for _, exp := range []string{"fig33", "table1,fgi6"} {
+		code, stdout, stderr := exitCode(t, bin, "-exp", exp, "-q")
+		if code != 2 || stdout != "" {
+			t.Fatalf("-exp %s: exit %d, stdout %q; want exit 2 and no output", exp, code, stdout)
+		}
+		bad := exp[strings.LastIndex(exp, ",")+1:]
+		if !strings.Contains(stderr, fmt.Sprintf("%q", bad)) || !strings.Contains(stderr, "table1, table2, ablation, faults, fig3") {
+			t.Fatalf("-exp %s: stderr does not name the bad experiment and the valid list:\n%s", exp, stderr)
+		}
+	}
+}
+
+// TestFig3FaultsShareStore: Figure 3 and the fault matrix run through the
+// run store like the sweep does. The fault matrix's nominal kmeans copy
+// run is Figure 3's baseline, so a fresh store simulates it once; a
+// rerun on the same store simulates nothing and prints the same bytes.
+func TestFig3FaultsShareStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess integration test")
+	}
+	dir := t.TempDir()
+	bin := buildBinary(t, dir)
+	args := []string{"-exp", "fig3,faults", "-jobs", "1", "-q", "-metrics", "-state", filepath.Join(dir, "state")}
+	code, first, stderr := exitCode(t, bin, args...)
+	if code != 0 {
+		t.Fatalf("first run exit %d:\n%s", code, stderr)
+	}
+	// 6 fault-matrix runs + 4 kmeans organizations, one shared.
+	if got := simRuns(t, stderr); got != 9 {
+		t.Fatalf("first run simulated %d runs, want 9", got)
+	}
+	code, second, stderr := exitCode(t, bin, args...)
+	if code != 0 {
+		t.Fatalf("second run exit %d:\n%s", code, stderr)
+	}
+	if got := simRuns(t, stderr); got != 0 {
+		t.Fatalf("second run simulated %d runs, want 0", got)
+	}
+	if second != first {
+		t.Fatalf("stdout from the store differs\n--- first\n%s\n--- second\n%s", first, second)
+	}
+}

@@ -102,9 +102,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
-	size := bench.SizeSmall
-	if *sizeFlag == "medium" {
-		size = bench.SizeMedium
+	size, err := bench.ParseSize(*sizeFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-size: %v\n", err)
+		os.Exit(2)
 	}
 	fault, err := harness.ParseFaultPlan(*inject)
 	if err != nil {

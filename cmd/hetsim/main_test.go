@@ -132,3 +132,22 @@ func TestReusesSweepRun(t *testing.T) {
 		t.Fatalf("-counters output is not from a stored run:\n%s", out)
 	}
 }
+
+// TestRejectsUnknownSize: a -size other than small or medium is a usage
+// error (exit 2), not a run at the default size.
+func TestRejectsUnknownSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess integration test")
+	}
+	bin := buildCmd(t, t.TempDir(), "hetsim", ".")
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-bench", "rodinia/nw", "-size", "large")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("-size large: %v, want exit status 2; stderr:\n%s", err, stderr.String())
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), `unknown size "large"`) {
+		t.Fatalf("-size large: stdout %q, stderr %q", stdout.String(), stderr.String())
+	}
+}

@@ -82,6 +82,17 @@ func (s Size) String() string {
 	}
 }
 
+// ParseSize maps a size's wire/CLI name back to the Size. Every name
+// String produces for a preset round-trips.
+func ParseSize(s string) (Size, error) {
+	for _, z := range []Size{SizeSmall, SizeMedium} {
+		if z.String() == s {
+			return z, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown size %q (want small or medium)", s)
+}
+
 // Smaller returns the next-smaller size preset, if one exists — the
 // harness's budget-exceeded degradation path retries there.
 func (s Size) Smaller() (Size, bool) {

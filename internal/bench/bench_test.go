@@ -14,6 +14,29 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Size
+		ok   bool
+	}{
+		{"small", SizeSmall, true},
+		{"medium", SizeMedium, true},
+		{"large", 0, false},
+		{"", 0, false},
+		{"Small", 0, false},
+		{"size(1)", 0, false},
+	} {
+		got, err := ParseSize(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if tc.ok && got.String() != tc.in {
+			t.Errorf("ParseSize(%q).String() = %q", tc.in, got.String())
+		}
+	}
+}
+
 func TestSystemForModes(t *testing.T) {
 	if SystemFor(ModeCopy).Unified() || SystemFor(ModeAsyncStreams).Unified() {
 		t.Fatal("copy modes must run on the discrete system")

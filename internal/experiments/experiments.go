@@ -7,8 +7,8 @@
 //
 // The pipeline has three stages. RunSweep executes every (benchmark, mode)
 // run — each an isolated simulation — through RunSpecs, the slot runner
-// (run-store lookup, bounded worker pool, progress, Put) that cmd/hetsim
-// and hetsimd's /v1/run call too, and assembles the outcomes
+// (run-store lookup, bounded worker pool, progress, Put) that FaultSweep,
+// cmd/hetsim and hetsimd's /v1/run call too, and assembles the outcomes
 // deterministically, so the Results are byte-for-byte identical for every
 // worker count. The FigNRows functions (rows.go) reduce a sweep to typed
 // rows plus summaries. The renderers (render.go, csv.go, json.go) format
@@ -22,7 +22,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -106,10 +105,6 @@ type SweepOpts struct {
 	// results are byte-identical for every value — so it is excluded from
 	// every key.
 	Parallel int
-	// OnProgress is called before each run. The sweep serializes the
-	// calls, so the callback needs no locking of its own, but when
-	// Jobs > 1 the call order across benchmarks is scheduling-dependent.
-	OnProgress func(name, mode string)
 	// PerRun, if set, may adjust each run's spec before it executes — the
 	// hook tests use to force a specific benchmark to fail. It is called
 	// once per slot, serially, wherever the sweep's specs are built
@@ -146,8 +141,8 @@ type SweepOpts struct {
 }
 
 // RunSweep executes a fault-tolerant sweep: every selected benchmark in
-// copy and limited-copy mode plus its extra modes, each isolated under
-// harness.Run so one failing benchmark cannot abort the rest. Runs execute
+// copy and limited-copy mode plus its extra modes, each isolated by the
+// harness so one failing benchmark cannot abort the rest. Runs execute
 // concurrently on opts.Jobs workers; because every run builds its own
 // simulated machine and outcomes are collected per (benchmark, mode) slot
 // and assembled in the registry's stable order, the Results — including
@@ -166,23 +161,10 @@ func RunSweep(size bench.Size, opts SweepOpts) (*Results, []harness.RunError) {
 	// the order the serial sweep ran in, and the order assembly below
 	// walks regardless of which worker finishes first.
 	specs := sweepSpecs(size, opts)
-	exec := harness.Run
-	if opts.OnProgress != nil {
-		var progressMu sync.Mutex
-		exec = func(spec harness.Spec) *harness.Outcome {
-			progressMu.Lock()
-			opts.OnProgress(spec.Bench.Info().FullName(), spec.Mode.String())
-			progressMu.Unlock()
-			return harness.Run(spec)
-		}
-	}
 	// Stored slots come back from their records, so the sweep simulates
 	// only the missing runs yet assembles the full result set —
 	// byte-identical to a sweep that simulated everything.
-	outs := RunSpecs(specs, Runner{
-		Jobs: opts.Jobs, Ctx: opts.Ctx, Store: opts.Store,
-		Progress: opts.Progress, OnStored: opts.OnStored, Exec: exec,
-	})
+	outs := RunSpecs(specs, opts.runner())
 
 	for i, spec := range specs {
 		out := outs[i]
@@ -368,94 +350,4 @@ func Table2TextOf(rows []bench.Table2Row) string {
 // Table2Text renders Table II from the census.
 func Table2Text() string {
 	return Table2TextOf(bench.Table2())
-}
-
-// Fig3Row is one kmeans organization of Figure 3.
-type Fig3Row struct {
-	Org       string  `json:"org"`
-	Estimated bool    `json:"estimated"`
-	RunTime   float64 `json:"run_time"` // normalized to baseline
-	GPUUtil   float64 `json:"gpu_util"`
-}
-
-// Fig3 runs the kmeans case study organizations and returns normalized run
-// times: Baseline (copy), Asynchronous Copy (streams), No Memory Copy
-// (limited), Parallel (Eq. 1 estimate on the no-copy run, starred), and
-// Parallel + Cache (simulated chunked producer-consumer). Each organization
-// runs under the harness: a failed run is dropped from the rows and comes
-// back as a RunError for Fig3Text to footnote. If the Baseline itself fails
-// there is nothing to normalize against and no rows are returned. par is
-// each run's intra-run worker count (harness.Spec.Parallel); the rows are
-// identical for every value.
-func Fig3(size bench.Size, budget harness.Budget, par int) ([]Fig3Row, []harness.RunError) {
-	km, _ := bench.Get("rodinia/kmeans")
-	var errs []harness.RunError
-	run := func(m bench.Mode) *core.Report {
-		out := harness.Run(harness.Spec{Bench: km, Mode: m, Size: size, Budget: budget, Parallel: par})
-		if out.Err != nil {
-			errs = append(errs, *out.Err)
-			return nil
-		}
-		return out.Report
-	}
-	base := run(bench.ModeCopy)
-	async := run(bench.ModeAsyncStreams)
-	nocopy := run(bench.ModeLimitedCopy)
-	parcache := run(bench.ModeParallelChunked)
-	if base == nil {
-		return nil, errs
-	}
-
-	norm := func(r *core.Report) float64 { return float64(r.ROI) / float64(base.ROI) }
-	rows := []Fig3Row{{"Baseline", false, 1.0, base.GPUUtil}}
-	if async != nil {
-		rows = append(rows, Fig3Row{"Asynchronous Copy", false, norm(async), async.GPUUtil})
-	}
-	if nocopy != nil {
-		rows = append(rows, Fig3Row{"No Memory Copy", false, norm(nocopy), nocopy.GPUUtil})
-		// "Parallel" is the paper's analytical estimate: overlapped CPU and
-		// GPU on the no-copy organization.
-		parEst := float64(nocopy.Rco) / float64(base.ROI)
-		parUtil := nocopy.GPUUtil * float64(nocopy.ROI) / float64(nocopy.Rco)
-		if parUtil > 1 {
-			parUtil = 1
-		}
-		rows = append(rows, Fig3Row{"Parallel", true, parEst, parUtil})
-	}
-	if parcache != nil {
-		rows = append(rows, Fig3Row{"Parallel + Cache", false, norm(parcache), parcache.GPUUtil})
-	}
-	return rows, errs
-}
-
-// Fig3Text renders Figure 3, footnoting organizations that failed to run.
-func Fig3Text(rows []Fig3Row, errs []harness.RunError) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "FIGURE 3. Kmeans run times by organization (normalized to Baseline; * = estimated)\n")
-	for _, r := range rows {
-		star := " "
-		if r.Estimated {
-			star = "*"
-		}
-		fmt.Fprintf(&b, "  %-20s%s %6.3f   GPU util %5.1f%%  %s\n",
-			r.Org, star, r.RunTime, 100*r.GPUUtil, bar(r.RunTime, 40))
-	}
-	if len(rows) == 0 {
-		fmt.Fprintf(&b, "  (baseline failed; nothing to normalize against)\n")
-	}
-	for _, e := range errs {
-		fmt.Fprintf(&b, "† %s (%s) failed [%s]: %s\n", e.Benchmark, e.Mode, e.Kind, e.Msg)
-	}
-	return b.String()
-}
-
-func bar(frac float64, width int) string {
-	n := int(frac * float64(width))
-	if n < 0 {
-		n = 0
-	}
-	if n > 2*width {
-		n = 2 * width
-	}
-	return strings.Repeat("#", n)
 }

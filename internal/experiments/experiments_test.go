@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -69,11 +72,18 @@ func TestGeomean(t *testing.T) {
 	}
 }
 
+// kmeansSweep is the serial sweep of the Figure 3 benchmark the Fig 3
+// tests share, run once.
+var kmeansSweep = sync.OnceValue(func() *Results {
+	r, _ := RunSweep(bench.SizeSmall, SweepOpts{Only: []string{"rodinia/kmeans"}, Jobs: 1})
+	return r
+})
+
 // TestFig3Ordering pins the paper's headline case-study result: the five
 // kmeans organizations must improve monotonically (the Parallel estimate
 // may only beat the simulated Parallel+Cache by the caching effect).
 func TestFig3Ordering(t *testing.T) {
-	rows, errs := Fig3(bench.SizeSmall, harness.Budget{}, 0)
+	rows, errs := Fig3Rows(kmeansSweep())
 	if len(errs) != 0 {
 		t.Fatalf("unexpected failures: %v", errs)
 	}
@@ -102,21 +112,23 @@ func TestFig3Ordering(t *testing.T) {
 	if !rows[3].Estimated || rows[0].Estimated {
 		t.Fatal("estimated flags wrong")
 	}
-	if !strings.Contains(Fig3Text(rows, errs), "Parallel + Cache") {
+	if !strings.Contains(RenderFig3(rows, errs), "Parallel + Cache") {
 		t.Fatal("fig 3 text malformed")
 	}
 }
 
-// TestFig3ParallelMatchesSerial checks -exp fig3 honours -par: the rows at
-// Parallel 2 equal the serial rows, and the parallel engine really ran.
+// TestFig3ParallelMatchesSerial checks -exp fig3 honours -par: the rows
+// from a sweep at Parallel 2 equal the serial rows, and the parallel
+// engine really ran.
 func TestFig3ParallelMatchesSerial(t *testing.T) {
-	serial, errs := Fig3(bench.SizeSmall, harness.Budget{}, 0)
+	serial, errs := Fig3Rows(kmeansSweep())
 	if len(errs) != 0 {
 		t.Fatalf("serial failures: %v", errs)
 	}
 	windows := func() float64 { return metrics.Default.Snapshot()["sim_engine_windows_total"] }
 	before := windows()
-	par, errs := Fig3(bench.SizeSmall, harness.Budget{}, 2)
+	res, _ := RunSweep(bench.SizeSmall, SweepOpts{Only: []string{"rodinia/kmeans"}, Jobs: 1, Parallel: 2})
+	par, errs := Fig3Rows(res)
 	if len(errs) != 0 {
 		t.Fatalf("parallel failures: %v", errs)
 	}
@@ -125,6 +137,38 @@ func TestFig3ParallelMatchesSerial(t *testing.T) {
 	}
 	if windows() == before {
 		t.Fatal("Fig3 at Parallel 2 never ran the parallel engine")
+	}
+}
+
+// TestFig3RowsWithoutKmeans: a sweep that left kmeans out has no Figure
+// 3 rows and no footnotes, and says so in one line instead of claiming
+// the baseline failed. A failed kmeans baseline is footnoted.
+func TestFig3RowsWithoutKmeans(t *testing.T) {
+	rows, errs := Fig3Rows(fakeResults())
+	if len(rows) != 0 || len(errs) != 0 {
+		t.Fatalf("sweep without kmeans: rows %+v errs %v", rows, errs)
+	}
+	txt := Fig3Text(fakeResults())
+	if !strings.Contains(txt, "no rodinia/kmeans baseline run in this sweep") || strings.Contains(txt, "baseline failed") {
+		t.Fatalf("fig 3 without kmeans:\n%s", txt)
+	}
+	if n := strings.Count(txt, "\n"); n != 2 {
+		t.Fatalf("fig 3 without kmeans has %d lines, want header and one note:\n%s", n, txt)
+	}
+
+	failed := fakeResults()
+	failed.Failed = []harness.RunError{
+		{Benchmark: "x/y", Mode: bench.ModeCopy, Kind: harness.KindPanic, Msg: "other benchmark"},
+		{Benchmark: fig3Bench, Mode: bench.ModeCopy, Kind: harness.KindPanic, Msg: "boom"},
+	}
+	rows, errs = Fig3Rows(failed)
+	if len(rows) != 0 || len(errs) != 1 || errs[0].Msg != "boom" {
+		t.Fatalf("failed kmeans baseline: rows %+v errs %v", rows, errs)
+	}
+	txt = Fig3Text(failed)
+	if !strings.Contains(txt, "baseline failed") || !strings.Contains(txt, "† rodinia/kmeans (copy) failed") ||
+		strings.Contains(txt, "other benchmark") {
+		t.Fatalf("fig 3 with a failed baseline:\n%s", txt)
 	}
 }
 
@@ -429,20 +473,26 @@ func TestWriteJSON(t *testing.T) {
 
 // TestFaultSweep pins the -exp faults acceptance criteria: each injected
 // fault slows its victim down (directionally correct) while the Eq. 1 and
-// Eqs. 2-4 model outputs stay finite.
+// Eqs. 2-4 model outputs stay finite. A second matrix over the same run
+// store simulates nothing and renders the same text; a matrix whose
+// dispatch is canceled up front renders every run as skipped.
 func TestFaultSweep(t *testing.T) {
-	rows := FaultSweep(bench.SizeSmall, harness.Budget{}, 0)
+	dir := t.TempDir()
+	opts := SweepOpts{Jobs: 1, Store: openRecords(t, dir)}
+	rows := FaultSweep(bench.SizeSmall, opts)
 	if len(rows) != len(FaultCases()) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(FaultCases()))
 	}
 	for i := range rows {
 		fr := &rows[i]
-		if len(fr.Errs) != 0 {
-			t.Fatalf("%s: unexpected failures: %v", fr.Case.Label, fr.Errs)
+		for _, out := range []*harness.Outcome{fr.Baseline, fr.Injected} {
+			if out == nil || out.Err != nil {
+				t.Fatalf("%s: run missing or failed: %+v", fr.Case.Label, out)
+			}
 		}
 		if !fr.ModelsFinite() {
 			t.Fatalf("%s: model outputs not finite: base %+v inj %+v",
-				fr.Case.Label, fr.Baseline, fr.Injected)
+				fr.Case.Label, fr.Baseline.Report, fr.Injected.Report)
 		}
 		if s := fr.Slowdown(); s < 1 {
 			t.Fatalf("%s: injected fault sped the run up (%.3fx)", fr.Case.Label, s)
@@ -456,6 +506,36 @@ func TestFaultSweep(t *testing.T) {
 	}
 	if strings.Contains(txt, "BROKEN") || strings.Contains(txt, "NaN") || strings.Contains(txt, "%!") {
 		t.Fatalf("fault sweep text malformed:\n%s", txt)
+	}
+
+	// Rerun over the same store: every run is served from its record.
+	var sims atomic.Int32
+	opts.Store = openRecords(t, dir)
+	opts.Progress = sweep.NewEventTracker(func(ev sweep.Event) {
+		if ev.Kind == "start" {
+			sims.Add(1)
+		}
+	})
+	if again := FaultSweepText(FaultSweep(bench.SizeSmall, opts)); again != txt {
+		t.Fatalf("fault matrix from the store differs:\n--- simulated\n%s\n--- stored\n%s", txt, again)
+	}
+	if n := sims.Load(); n != 0 {
+		t.Fatalf("fault matrix over a full store simulated %d runs, want 0", n)
+	}
+
+	// Canceled before dispatch: every run is skipped, nothing is broken.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	skipped := FaultSweep(bench.SizeSmall, SweepOpts{Jobs: 1, Ctx: ctx})
+	for _, fr := range skipped {
+		if fr.Baseline != nil || fr.Injected != nil {
+			t.Fatalf("%s ran under a canceled context", fr.Case.Label)
+		}
+	}
+	txt = FaultSweepText(skipped)
+	if strings.Count(txt, "skipped") != 3*len(FaultCases()) || strings.Contains(txt, "failed") ||
+		strings.Contains(txt, "BROKEN") || strings.Contains(txt, "NaN") {
+		t.Fatalf("canceled fault matrix must render skipped rows:\n%s", txt)
 	}
 }
 

@@ -40,22 +40,30 @@ func FaultCases() []FaultCase {
 	}
 }
 
-// FaultRow is one fault case's paired baseline and injected runs. Either
-// report may be nil when the corresponding run failed; the failures are in
-// Errs.
+// FaultRow is one fault case's paired baseline and injected runs. An
+// outcome is nil when an interrupt kept the run from starting; a failed
+// run's outcome has no Report and carries its diagnostic in Err.
 type FaultRow struct {
-	Case     FaultCase
-	Baseline *core.Report
-	Injected *core.Report
-	Errs     []harness.RunError
+	Case               FaultCase
+	Baseline, Injected *harness.Outcome
 }
 
-// Slowdown is injected ROI over baseline ROI (0 when either run failed).
+// report is out's report: nil for a skipped or failed run.
+func report(out *harness.Outcome) *core.Report {
+	if out == nil {
+		return nil
+	}
+	return out.Report
+}
+
+// Slowdown is injected ROI over baseline ROI (0 when either run is
+// missing).
 func (fr *FaultRow) Slowdown() float64 {
-	if fr.Baseline == nil || fr.Injected == nil || fr.Baseline.ROI <= 0 {
+	base, inj := report(fr.Baseline), report(fr.Injected)
+	if base == nil || inj == nil || base.ROI <= 0 {
 		return 0
 	}
-	return float64(fr.Injected.ROI) / float64(fr.Baseline.ROI)
+	return float64(inj.ROI) / float64(base.ROI)
 }
 
 // ModelsFinite reports whether both runs completed with positive, finite
@@ -74,33 +82,34 @@ func (fr *FaultRow) ModelsFinite() bool {
 		}
 		return true
 	}
-	return ok(fr.Baseline) && ok(fr.Injected)
+	return ok(report(fr.Baseline)) && ok(report(fr.Injected))
 }
 
 // FaultSweep runs every fault case twice — nominal hardware and injected
-// fault — under the harness, so even a fault that wedges the simulated
-// machine terminates with a diagnostic instead of hanging the sweep. par is
-// each run's intra-run worker count (harness.Spec.Parallel).
-func FaultSweep(size bench.Size, budget harness.Budget, par int) []FaultRow {
+// fault — through RunSpecs with opts, as a sweep's runs are, so a nominal
+// run is the sweep slot of its benchmark and mode. The matrix fixes each
+// run's benchmark and fault plan, so opts.Only, Fault, PerRun and Trace
+// do not apply.
+func FaultSweep(size bench.Size, opts SweepOpts) []FaultRow {
+	tmpl := specTemplate(size, opts)
 	var rows []FaultRow
+	var specs []harness.Spec
 	for _, fc := range FaultCases() {
 		b, ok := bench.Get(fc.Bench)
 		if !ok {
 			continue
 		}
-		row := FaultRow{Case: fc}
-		run := func(plan *harness.FaultPlan) *core.Report {
-			out := harness.Run(harness.Spec{Bench: b, Mode: fc.Mode, Size: size, Budget: budget, Fault: plan, Parallel: par})
-			if out.Err != nil {
-				row.Errs = append(row.Errs, *out.Err)
-				return nil
-			}
-			return out.Report
-		}
-		row.Baseline = run(nil)
 		plan := fc.Plan
-		row.Injected = run(&plan)
-		rows = append(rows, row)
+		for _, fault := range []*harness.FaultPlan{nil, &plan} {
+			spec := tmpl
+			spec.Bench, spec.Mode, spec.Fault = b, fc.Mode, fault
+			specs = append(specs, spec)
+		}
+		rows = append(rows, FaultRow{Case: fc})
+	}
+	outs := RunSpecs(specs, opts.runner())
+	for i := range rows {
+		rows[i].Baseline, rows[i].Injected = outs[2*i], outs[2*i+1]
 	}
 	return rows
 }
@@ -113,23 +122,34 @@ func FaultSweepText(rows []FaultRow) string {
 		"fault", "benchmark", "mode", "plan", "base-ms", "inj-ms", "slowdown", "models")
 	for i := range rows {
 		fr := &rows[i]
-		base, inj := "failed", "failed"
-		if fr.Baseline != nil {
-			base = fmt.Sprintf("%9.3f", fr.Baseline.ROI.Millis())
-		}
-		if fr.Injected != nil {
-			inj = fmt.Sprintf("%9.3f", fr.Injected.ROI.Millis())
-		}
 		models := "finite"
-		if !fr.ModelsFinite() {
+		switch {
+		case fr.Baseline == nil || fr.Injected == nil:
+			models = "skipped"
+		case !fr.ModelsFinite():
 			models = "BROKEN"
 		}
 		plan := fr.Case.Plan
 		fmt.Fprintf(&b, "%-20s %-24s %-14s %-22s %9s %9s %8.2fx  %s\n",
-			fr.Case.Label, fr.Case.Bench, fr.Case.Mode, plan.String(), base, inj, fr.Slowdown(), models)
-		for _, e := range fr.Errs {
-			fmt.Fprintf(&b, "† %s (%s) failed [%s]: %s\n", e.Benchmark, e.Mode, e.Kind, e.Msg)
+			fr.Case.Label, fr.Case.Bench, fr.Case.Mode, plan.String(),
+			roiCell(fr.Baseline), roiCell(fr.Injected), fr.Slowdown(), models)
+		for _, out := range []*harness.Outcome{fr.Baseline, fr.Injected} {
+			if out != nil && out.Err != nil {
+				e := out.Err
+				fmt.Fprintf(&b, "† %s (%s) failed [%s]: %s\n", e.Benchmark, e.Mode, e.Kind, e.Msg)
+			}
 		}
 	}
 	return b.String()
+}
+
+// roiCell is one run's ROI in the fault table, or why there is none.
+func roiCell(out *harness.Outcome) string {
+	switch {
+	case out == nil:
+		return "skipped"
+	case out.Report == nil:
+		return "failed"
+	}
+	return fmt.Sprintf("%9.3f", out.Report.ROI.Millis())
 }

@@ -2,15 +2,62 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"repro/internal/bench"
+	"repro/internal/harness"
 )
 
 // This file is the render half of every figure: each renderer formats the
 // typed rows its FigNRows counterpart computed, plus the sweep's footnote
-// metadata — no renderer touches a core.Report. Fig4Text..Fig9Text keep
+// metadata — no renderer touches a core.Report. Fig3Text..Fig10Text keep
 // the historical convenience signature over a *Results; the RenderFigN
 // functions are the row-only render steps the convenience wrappers (and
 // any caller holding rows from JSON) compose.
+
+// RenderFig3 formats the kmeans case study from its rows, footnoting the
+// organizations that failed; without rows it says whether the baseline
+// failed or never ran (left out of the sweep or skipped by an interrupt).
+func RenderFig3(rows []Fig3Row, errs []harness.RunError) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "FIGURE 3. Kmeans run times by organization (normalized to Baseline; * = estimated)\n")
+	for _, r := range rows {
+		star := " "
+		if r.Estimated {
+			star = "*"
+		}
+		fmt.Fprintf(&b, "  %-20s%s %6.3f   GPU util %5.1f%%  %s\n",
+			r.Org, star, r.RunTime, 100*r.GPUUtil, bar(r.RunTime, 40))
+	}
+	switch {
+	case len(rows) > 0:
+	case slices.ContainsFunc(errs, func(e harness.RunError) bool { return e.Mode == bench.ModeCopy }):
+		fmt.Fprintf(&b, "  (baseline failed; nothing to normalize against)\n")
+	default:
+		fmt.Fprintf(&b, "  (no %s baseline run in this sweep; nothing to normalize against)\n", fig3Bench)
+	}
+	for _, e := range errs {
+		fmt.Fprintf(&b, "† %s (%s) failed [%s]: %s\n", e.Benchmark, e.Mode, e.Kind, e.Msg)
+	}
+	return b.String()
+}
+
+// Fig3Text renders Figure 3 from a sweep.
+func Fig3Text(r *Results) string {
+	return RenderFig3(Fig3Rows(r))
+}
+
+func bar(frac float64, width int) string {
+	n := int(frac * float64(width))
+	if n < 0 {
+		n = 0
+	}
+	if n > 2*width {
+		n = 2 * width
+	}
+	return strings.Repeat("#", n)
+}
 
 // RenderFig4 formats the footprint partition figure from its rows.
 func RenderFig4(rows []Fig4Row, sum Fig4Summary, fn Footnotes) string {

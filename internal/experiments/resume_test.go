@@ -58,7 +58,11 @@ func countingSweep(t *testing.T, dir string, size bench.Size, opts SweepOpts) (r
 	var sims atomic.Int32
 	opts.Store = openRecords(t, dir)
 	opts.OnStored = func(n int) { stored = n }
-	opts.OnProgress = func(name, mode string) { sims.Add(1) }
+	opts.Progress = sweep.NewEventTracker(func(ev sweep.Event) {
+		if ev.Kind == "start" {
+			sims.Add(1)
+		}
+	})
 	res, _ = RunSweep(size, opts)
 	if err := opts.Store.Err(); err != nil {
 		t.Fatal(err)
@@ -83,11 +87,11 @@ func TestSweepCheckpointResume(t *testing.T) {
 	var started atomic.Int32
 	opts.Store = openRecords(t, dir)
 	opts.Ctx = ctx
-	opts.OnProgress = func(name, mode string) {
-		if started.Add(1) == 3 {
+	opts.Progress = sweep.NewEventTracker(func(ev sweep.Event) {
+		if ev.Kind == "start" && started.Add(1) == 3 {
 			cancel()
 		}
-	}
+	})
 	partial, _ := RunSweep(bench.SizeSmall, opts)
 	cancel()
 	if len(partial.Skipped) == 0 {
@@ -240,7 +244,6 @@ func TestFingerprintExcludesParallel(t *testing.T) {
 		{"ctx", func(s *harness.Spec) { s.Ctx = ctx }, func(_ *bench.Size, o *SweepOpts) { o.Ctx, o.RunCtx = ctx, ctx }},
 		{"progress", func(s *harness.Spec) { s.OnRetry = func(bench.Size, *harness.RunError) {} }, func(_ *bench.Size, o *SweepOpts) {
 			o.Progress = sweep.NewTracker(io.Discard, 0)
-			o.OnProgress = func(string, string) {}
 			o.OnStored = func(int) {}
 		}},
 	} {

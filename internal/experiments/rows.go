@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/stats"
 )
 
@@ -11,6 +12,56 @@ import (
 // CSV, and JSON renderers all format the same rows. Rows carry both the
 // raw measurements (bytes, access counts, milliseconds) and the derived
 // percentages the paper's figures plot, so no renderer re-derives numbers.
+
+// fig3Bench is the benchmark of the Figure 3 case study.
+const fig3Bench = "rodinia/kmeans"
+
+// Fig3Row is one kmeans organization of Figure 3.
+type Fig3Row struct {
+	Org       string  `json:"org"`
+	Estimated bool    `json:"estimated"`
+	RunTime   float64 `json:"run_time"` // normalized to baseline
+	GPUUtil   float64 `json:"gpu_util"`
+}
+
+// Fig3Rows computes the kmeans case study from the sweep's kmeans runs:
+// run times normalized to Baseline (copy) of Asynchronous Copy (streams),
+// No Memory Copy (limited), Parallel (Eq. 1 estimate on the no-copy run,
+// starred), and Parallel + Cache (chunked producer-consumer). A failed
+// organization has no row; the kmeans failures come back in slot order.
+// Without a Baseline there are no rows.
+func Fig3Rows(r *Results) ([]Fig3Row, []harness.RunError) {
+	var errs []harness.RunError
+	for _, e := range r.Failed {
+		if e.Benchmark == fig3Bench {
+			errs = append(errs, e)
+		}
+	}
+	base := r.Copy[fig3Bench]
+	if base == nil {
+		return nil, errs
+	}
+	norm := func(rep *core.Report) float64 { return float64(rep.ROI) / float64(base.ROI) }
+	rows := []Fig3Row{{"Baseline", false, 1.0, base.GPUUtil}}
+	if async := r.Extra[bench.ModeAsyncStreams][fig3Bench]; async != nil {
+		rows = append(rows, Fig3Row{"Asynchronous Copy", false, norm(async), async.GPUUtil})
+	}
+	if nocopy := r.Limited[fig3Bench]; nocopy != nil {
+		rows = append(rows, Fig3Row{"No Memory Copy", false, norm(nocopy), nocopy.GPUUtil})
+		// "Parallel" is the paper's analytical estimate: overlapped CPU and
+		// GPU on the no-copy organization.
+		parEst := float64(nocopy.Rco) / float64(base.ROI)
+		parUtil := nocopy.GPUUtil * float64(nocopy.ROI) / float64(nocopy.Rco)
+		if parUtil > 1 {
+			parUtil = 1
+		}
+		rows = append(rows, Fig3Row{"Parallel", true, parEst, parUtil})
+	}
+	if parcache := r.Extra[bench.ModeParallelChunked][fig3Bench]; parcache != nil {
+		rows = append(rows, Fig3Row{"Parallel + Cache", false, norm(parcache), parcache.GPUUtil})
+	}
+	return rows, errs
+}
 
 // SetPart is one exclusive component subset's share of a footprint.
 type SetPart struct {

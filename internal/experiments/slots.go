@@ -20,11 +20,7 @@ func sweepSpecs(size bench.Size, opts SweepOpts) []harness.Spec {
 			only[n] = true
 		}
 	}
-	tmpl := harness.Spec{
-		Size: size, Budget: opts.Budget, Fault: opts.Fault,
-		Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
-		Parallel: opts.Parallel,
-	}
+	tmpl := specTemplate(size, opts)
 	var specs []harness.Spec
 	for _, b := range bench.All() {
 		if only != nil && !only[b.Info().FullName()] {
@@ -43,6 +39,21 @@ func sweepSpecs(size bench.Size, opts SweepOpts) []harness.Spec {
 		}
 	}
 	return specs
+}
+
+// specTemplate is the spec every run of (size, opts) starts from, before
+// sweepSpecs or FaultSweep sets its benchmark and mode.
+func specTemplate(size bench.Size, opts SweepOpts) harness.Spec {
+	return harness.Spec{
+		Size: size, Budget: opts.Budget, Fault: opts.Fault,
+		Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
+		Parallel: opts.Parallel,
+	}
+}
+
+// runner is the RunSpecs configuration opts carries.
+func (opts SweepOpts) runner() Runner {
+	return Runner{Jobs: opts.Jobs, Ctx: opts.Ctx, Store: opts.Store, Progress: opts.Progress, OnStored: opts.OnStored}
 }
 
 // SweepFingerprint is the key of a sweep's response document: a hash of

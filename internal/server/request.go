@@ -100,15 +100,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	return nil
 }
 
-// parseSize maps the wire size name to the bench preset.
+// parseSize maps the wire size name to the bench preset ("" = small).
 func parseSize(s string) (bench.Size, error) {
-	switch s {
-	case "", "small":
+	if s == "" {
 		return bench.SizeSmall, nil
-	case "medium":
-		return bench.SizeMedium, nil
 	}
-	return 0, badRequest("unknown size %q (want small or medium)", s)
+	size, err := bench.ParseSize(s)
+	if err != nil {
+		return 0, badRequest("%v", err)
+	}
+	return size, nil
 }
 
 // parseMode maps the wire mode name to the bench mode ("" = copy).
