@@ -179,6 +179,7 @@ func (s *System) launchOnGPU(k KernelSpec, launchStart, launchDur sim.Tick, h *H
 		ScratchBytes: k.ScratchBytes,
 		Gen:          rec.gen,
 		Done: func(end sim.Tick, flops uint64) {
+			rec.release()
 			s.flushGPUL1s(end)
 			s.Col.StageEnd(st, end, flops, 0)
 			if len(children) == 0 {
@@ -315,7 +316,7 @@ type CPUTaskSpec struct {
 }
 
 type cpuWork struct {
-	tr   isa.Trace
+	tr   *isa.Trace // from traceBufs; put back once the core has replayed it
 	done func(end sim.Tick, flops uint64)
 }
 
@@ -335,15 +336,17 @@ func (s *System) CPUTaskAsync(spec CPUTaskSpec, deps ...*Handle) *Handle {
 			var maxEnd sim.Tick
 			var totFLOPs uint64
 			for tid := 0; tid < spec.Threads; tid++ {
-				ct := &CPUThread{tr: make(isa.Trace, 0, 1024), lane: tid, block: spec.Threads, global: tid}
+				tr := traceBufs.Get().(*isa.Trace)
+				ct := &CPUThread{tr: (*tr)[:0], lane: tid, block: spec.Threads, global: tid}
 				spec.Func(ct)
+				*tr = ct.tr
 				// The thread's Figure 4 footprint, from its recorded trace.
 				for _, op := range ct.tr {
 					if op.Kind.Mem() {
 						s.Col.Touch(stats.CPU, op.Addr, int(op.N))
 					}
 				}
-				s.runOnCore(&cpuWork{tr: ct.tr, done: func(end sim.Tick, flops uint64) {
+				s.runOnCore(&cpuWork{tr: tr, done: func(end sim.Tick, flops uint64) {
 					if end > maxEnd {
 						maxEnd = end
 					}
@@ -375,9 +378,11 @@ func (s *System) runOnCore(w *cpuWork) {
 }
 
 func (s *System) startOnCore(id int, w *cpuWork) {
-	s.cores[id].RunTrace(s.Eng.Now(), stats.CPU, w.tr, func(end sim.Tick, flops uint64) {
+	s.cores[id].RunTrace(s.Eng.Now(), stats.CPU, *w.tr, func(end sim.Tick, flops uint64) {
 		s.Eng.At(end, func() { s.releaseCore(id) })
 		w.done(end, flops)
+		// The replay is over and nothing else holds the trace.
+		traceBufs.Put(w.tr)
 	})
 }
 

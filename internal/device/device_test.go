@@ -170,6 +170,50 @@ func TestCPUTaskQueueingBeyondCores(t *testing.T) {
 	}
 }
 
+// TestCPUTracesRecycled runs a task of long traces, then, on a fresh
+// system, a task of short ones, both with more threads than cores, so the
+// short threads record into traces the long ones returned. Every count
+// must be exactly the short task's own: nothing of a recycled trace may
+// replay or reach the footprint.
+func TestCPUTracesRecycled(t *testing.T) {
+	const threads, longOps, lineBytes = 8, 4096, 128
+	cpuTask := func(s *System, name string, body func(c *CPUThread)) (traceOps, foot uint64) {
+		s.CPUTask(CPUTaskSpec{Name: name, Threads: threads, Func: body})
+		return s.Ctr.Get("cpu.trace_ops"), s.Col.FootprintBytes()
+	}
+
+	s := discrete()
+	if threads <= s.Cfg.CPU.Cores {
+		t.Fatalf("need more threads than the %d cores", s.Cfg.CPU.Cores)
+	}
+	a := AllocBuf[float32](s, threads*longOps, "a", Host)
+	ops, foot := cpuTask(s, "long", func(c *CPUThread) {
+		for i := 0; i < longOps; i++ {
+			Ld(c, a, c.TID()*longOps+i)
+			c.FLOP(1)
+		}
+	})
+	if want := uint64(threads * longOps * 2); ops != want {
+		t.Fatalf("long task: %d trace ops, want %d", ops, want)
+	}
+	if want := uint64(a.Len() * 4); foot != want {
+		t.Fatalf("long task: footprint %d bytes, want %d", foot, want)
+	}
+
+	s = discrete()
+	b := AllocBuf[float32](s, threads*longOps, "b", Host)
+	ops, foot = cpuTask(s, "short", func(c *CPUThread) {
+		Ld(c, b, c.TID()*lineBytes/4) // one line per thread
+		c.FLOP(1)
+	})
+	if want := uint64(threads * 2); ops != want {
+		t.Fatalf("short task: %d trace ops, want %d", ops, want)
+	}
+	if want := uint64(threads * lineBytes); foot != want {
+		t.Fatalf("short task: footprint %d bytes, want %d", foot, want)
+	}
+}
+
 func TestDependenciesOrderOps(t *testing.T) {
 	s := hetero()
 	a := AllocBuf[int32](s, 1024, "a", Host)

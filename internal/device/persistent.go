@@ -55,6 +55,7 @@ func (s *System) LaunchPersistent(spec PersistentKernelSpec, deps ...*Handle) *P
 		ScratchBytes: spec.ScratchBytes,
 		Gen:          rec.gen,
 		Done: func(end sim.Tick, flops uint64) {
+			rec.release()
 			s.flushGPUL1s(end)
 			p.done.complete(end)
 		},

@@ -86,7 +86,7 @@ func TestTypedHelpersRecord(t *testing.T) {
 	var cpu isa.Trace
 	s.CPUTask(CPUTaskSpec{Name: "rec", Threads: 1, Func: func(c *CPUThread) {
 		body(c)
-		cpu = c.tr
+		cpu = slices.Clone(c.tr) // the trace is recycled after its replay
 	}})
 	check("CPU thread", cpu)
 }

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"sync"
+
 	"repro/internal/isa"
 	"repro/internal/memory"
 )
@@ -79,12 +81,19 @@ func (t *Thread) ScratchOp(n int) {
 
 func (t *Thread) rec(op isa.Op) { t.tr = append(t.tr, op) }
 
+// traceBufs recycles op buffers across tasks, launches and concurrent
+// runs: a CPU thread's trace, from its task's start until its core has
+// replayed it, and a launch's lane arena, from the launch until the kernel
+// completes. A buffer keeps the capacity it grew to.
+var traceBufs = sync.Pool{New: func() any { return new(isa.Trace) }}
+
 // laneRecorder runs a kernel body once per lane of a CTA, recording every
 // lane into one flat op arena that the launch reuses across its CTAs, so
 // it grows to the launch's largest CTA and then stops allocating.
 type laneRecorder struct {
 	t     Thread
 	fn    func(t *Thread)
+	arena *isa.Trace  // the traceBufs entry t.tr records into
 	ends  []int       // ends[i] is lane i's end offset in the arena t.tr
 	lanes []isa.Trace // per-lane views into the arena, returned by gen
 }
@@ -93,12 +102,22 @@ type laneRecorder struct {
 // threads per CTA. children collects device-side launches; nil makes
 // LaunchChild panic, as it does outside a kernel.
 func newLaneRecorder(block int, fn func(t *Thread), children *[]KernelSpec) *laneRecorder {
+	arena := traceBufs.Get().(*isa.Trace)
 	return &laneRecorder{
-		t:     Thread{block: block, children: children},
+		t:     Thread{tr: (*arena)[:0], block: block, children: children},
 		fn:    fn,
+		arena: arena,
 		ends:  make([]int, block),
 		lanes: make([]isa.Trace, block),
 	}
+}
+
+// release puts the arena back in traceBufs. Call it once gen has made its
+// last call and nothing reads the traces it returned: when the kernel
+// completes.
+func (r *laneRecorder) release() {
+	*r.arena = r.t.tr[:0]
+	traceBufs.Put(r.arena)
 }
 
 // gen records CTA cta's lane traces. The traces alias the arena: they are

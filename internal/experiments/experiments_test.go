@@ -478,10 +478,19 @@ func TestWriteJSON(t *testing.T) {
 // dispatch is canceled up front renders every run as skipped.
 func TestFaultSweep(t *testing.T) {
 	dir := t.TempDir()
-	opts := SweepOpts{Jobs: 1, Store: openRecords(t, dir)}
+	starts := map[string]int{}
+	opts := SweepOpts{Jobs: 1, Store: openRecords(t, dir), Progress: sweep.NewEventTracker(func(ev sweep.Event) {
+		if ev.Kind == "start" {
+			starts[ev.Name]++
+		}
+	})}
 	rows := FaultSweep(bench.SizeSmall, opts)
 	if len(rows) != len(FaultCases()) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(FaultCases()))
+	}
+	// A nominal run and its injected twin are told apart by the plan.
+	if len(starts) != 2*len(FaultCases()) {
+		t.Fatalf("fault matrix started %d distinct run names, want %d: %v", len(starts), 2*len(FaultCases()), starts)
 	}
 	for i := range rows {
 		fr := &rows[i]

@@ -56,7 +56,13 @@ func RunSpecs(specs []harness.Spec, o Runner) []*harness.Outcome {
 	if o.OnStored != nil {
 		o.OnStored(stored)
 	}
-	name := func(spec harness.Spec) string { return spec.Bench.Info().FullName() + " " + spec.Mode.String() }
+	name := func(spec harness.Spec) string {
+		n := spec.Bench.Info().FullName() + " " + spec.Mode.String()
+		if spec.Fault.Active() {
+			n += " " + spec.Fault.String()
+		}
+		return n
+	}
 	o.Progress.SetTotal(len(specs))
 	for i, out := range outs {
 		if out != nil {

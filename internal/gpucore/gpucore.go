@@ -11,12 +11,14 @@
 // run once, in the compiler, and the timing model replays only the
 // compiled program. Lane traces die at the compiler, so trace memory is one
 // CTA's lanes per generator; what stays live are the compact programs of
-// resident (and, with a parallel engine, pipelined) CTAs.
+// resident (and, with a parallel engine, pipelined) CTAs, and retired ones
+// pooled for the next CTA to compile into.
 package gpucore
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -47,7 +49,8 @@ type Kernel struct {
 	// it accesses is recorded from the compiled program at dispatch.
 	Gen func(cta int) []isa.Trace
 	// Done fires when the last CTA completes. flops is the total FLOPs the
-	// kernel executed.
+	// kernel executed. Gen has made its last call by then, so Done may
+	// recycle the buffer Gen records into.
 	Done func(end sim.Tick, flops uint64)
 
 	// stream delivers the compiled programs of pipelined CTAs in CTA order
@@ -56,8 +59,9 @@ type Kernel struct {
 	stream *sim.Stream
 	// cc is the compile scratch of whichever goroutine builds this
 	// kernel's programs: the timing thread or the generation worker, never
-	// both.
-	cc compiler
+	// both. It is taken from compilers at the first build and goes back
+	// when the kernel completes.
+	cc *compiler
 
 	remaining int // CTAs not yet dispatched
 	live      int // CTAs resident on SMs
@@ -240,7 +244,22 @@ func (g *GPU) build(k *Kernel, cta int) *program {
 	if len(traces) != k.ThreadsPerTA {
 		panic("gpucore: Gen returned wrong lane count for kernel " + k.Name)
 	}
-	return k.cc.compile(traces, g.warpsz, g.LineBytes)
+	if k.cc == nil {
+		k.cc = compilers.Get().(*compiler)
+	}
+	return k.cc.compile(programs.Get().(*program), traces, g.warpsz, g.LineBytes)
+}
+
+// finish fires k.Done once its last CTA has completed. Every CTA has been
+// built by then, so the compile scratch goes back to the pool first.
+func (k *Kernel) finish() {
+	if k.cc != nil {
+		compilers.Put(k.cc)
+		k.cc = nil
+	}
+	if k.Done != nil {
+		k.Done(k.lastEnd, k.totalFlops())
+	}
 }
 
 // LaunchPersistent enqueues an open (persistent) kernel at time at. The
@@ -308,9 +327,7 @@ func (g *GPU) ClosePersistent(at sim.Tick, k *Kernel) {
 			if k.lastEnd < now {
 				k.lastEnd = now
 			}
-			if k.Done != nil {
-				k.Done(k.lastEnd, k.totalFlops())
-			}
+			k.finish()
 			g.dispatch() // unpark the queue slot the closed kernel held
 		}
 	})
@@ -369,6 +386,7 @@ type ctaState struct {
 	k         *Kernel
 	b         *ctaBatch // owning feed batch (persistent kernels only)
 	fl        *uint64   // flops accumulator: &k.flops or &b.flops
+	p         *program  // the warps' program, pooled again at retire
 	idx       int       // CTA index within the grid
 	start     sim.Tick  // residency start, for the trace span
 	liveWarps int
@@ -398,7 +416,7 @@ func (s *sm) startCTA(k *Kernel, ctaIdx int) {
 		}
 	}
 	w := s.g.warpsNeeded(k)
-	cs := &ctaState{sm: s, k: k, fl: &k.flops, idx: ctaIdx, start: now, liveWarps: w}
+	cs := &ctaState{sm: s, k: k, fl: &k.flops, p: p, idx: ctaIdx, start: now, liveWarps: w}
 	for _, b := range k.batches {
 		if ctaIdx >= b.start && ctaIdx < b.end {
 			cs.b = b
@@ -431,6 +449,12 @@ func (cs *ctaState) warpDone(end sim.Tick) {
 		return
 	}
 	// CTA complete: release resources, backfill, maybe finish the kernel.
+	// Every warp has finished and dropped its slices of the program, so
+	// nothing references it any more. (A CTA a test builds by hand has no
+	// program.)
+	if cs.p != nil {
+		programs.Put(cs.p)
+	}
 	cs.traceCTA(end)
 	s.liveCTAs--
 	s.scratch -= cs.k.ScratchBytes
@@ -451,9 +475,7 @@ func (cs *ctaState) warpDone(end sim.Tick) {
 	}
 	k := cs.k
 	if !k.open && k.remaining == 0 && k.live == 0 {
-		if k.Done != nil {
-			k.Done(k.lastEnd, k.totalFlops())
-		}
+		k.finish()
 	}
 	s.g.dispatch()
 }
@@ -502,8 +524,19 @@ func (p *program) warp(wi int) ([]inst, []memory.Addr) {
 	return p.code[lo.code:hi.code], p.lines[lo.lines:hi.lines]
 }
 
+// programs and compilers recycle CTA programs and compile scratch across
+// CTAs, kernels and concurrent runs. A program is taken when its CTA is
+// built, on the timing thread or the generation worker, and put back on the
+// timing thread when the CTA retires; a compiler is held by one kernel from
+// its first build until it completes.
+var (
+	programs  = sync.Pool{New: func() any { return new(program) }}
+	compilers = sync.Pool{New: func() any { return new(compiler) }}
+)
+
 // compiler is the scratch one goroutine reuses across the CTAs it
-// compiles; only the finished program is allocated per CTA.
+// compiles. A finished program is copied out of it into a recycled
+// program's capacity, so a warm compile allocates nothing.
 type compiler struct {
 	pos   []int // per-lane cursor into the lane's trace
 	code  []inst
@@ -519,14 +552,25 @@ type compiler struct {
 // next op has the leader's kind participates; divergent lanes wait for a
 // later slot (branch serialization). A memory op's participant accesses
 // coalesce into the distinct lines they span. The traces are not retained.
-func (c *compiler) compile(traces []isa.Trace, warpsz, lineBytes int) *program {
+//
+// The program is written into dst, reusing its capacity, and returned; a
+// nil dst gets a new program. The merge runs in the compiler's scratch and
+// is copied out, so a dst too small for this CTA grows once, to its size,
+// rather than step by step with the merge.
+func (c *compiler) compile(dst *program, traces []isa.Trace, warpsz, lineBytes int) *program {
 	c.code, c.lines, c.at = c.code[:0], c.lines[:0], c.at[:0]
 	for lo := 0; lo < len(traces); lo += warpsz {
 		c.at = append(c.at, progOffset{len(c.code), len(c.lines)})
 		c.warp(traces[lo:min(lo+warpsz, len(traces))], lineBytes)
 	}
 	c.at = append(c.at, progOffset{len(c.code), len(c.lines)})
-	return &program{code: slices.Clone(c.code), lines: slices.Clone(c.lines), at: slices.Clone(c.at)}
+	if dst == nil {
+		dst = new(program)
+	}
+	dst.code = append(dst.code[:0], c.code...)
+	dst.lines = append(dst.lines[:0], c.lines...)
+	dst.at = append(dst.at[:0], c.at...)
+	return dst
 }
 
 // warp appends one warp's instructions and lines.

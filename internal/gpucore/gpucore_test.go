@@ -125,7 +125,7 @@ func TestCoalescingUnitStride(t *testing.T) {
 func checkCompiledLines(t *testing.T, gen func(int) []isa.Trace, want int) {
 	t.Helper()
 	var c compiler
-	p := c.compile(gen(0), 32, 128)
+	p := c.compile(nil, gen(0), 32, 128)
 	code, lines := p.warp(0)
 	if len(code) != 1 || !code[0].kind.Mem() || int(code[0].n) != want || len(lines) != want {
 		t.Fatalf("compiled %+v with %d lines, want one memory op of %d lines", code, len(lines), want)
@@ -541,7 +541,7 @@ func TestCompileMatchesLaneWalk(t *testing.T) {
 		if small {
 			warpsz = 8
 		}
-		p := c.compile(traces, warpsz, 128)
+		p := c.compile(nil, traces, warpsz, 128)
 		nw := (len(traces) + warpsz - 1) / warpsz
 		if len(p.at) != nw+1 {
 			t.Logf("seed %d shape %d: %d warp offsets for %d warps", seed, shape, len(p.at), nw)
@@ -716,19 +716,51 @@ func kmeansCTA() []isa.Trace {
 	return out
 }
 
+// TestCompileIntoReusedProgram checks that compiling into a program that
+// last held a larger CTA gives exactly what compiling into a new one does:
+// no instruction, line or warp offset of the earlier CTA leaks through the
+// reused capacity.
+func TestCompileIntoReusedProgram(t *testing.T) {
+	var c compiler
+	big := kmeansCTA()
+	dst := c.compile(nil, big, 32, 128)
+	for seed := int64(1); seed <= 100; seed++ {
+		for _, shape := range ctaShapes {
+			traces := randomCTA(rand.New(rand.NewSource(seed)), shape)
+			want := c.compile(nil, traces, 32, 128)
+			dst = c.compile(c.compile(dst, big, 32, 128), traces, 32, 128)
+			if !slices.Equal(dst.code, want.code) || !slices.Equal(dst.lines, want.lines) || !slices.Equal(dst.at, want.at) {
+				t.Fatalf("seed %d shape %d: reused program differs from a new one", seed, shape)
+			}
+		}
+	}
+}
+
+// TestCompileZeroAlloc checks that compiling into a warm program with warm
+// compiler scratch allocates nothing.
+func TestCompileZeroAlloc(t *testing.T) {
+	traces := kmeansCTA()
+	var c compiler
+	dst := c.compile(nil, traces, 32, 128)
+	if n := testing.AllocsPerRun(50, func() { c.compile(dst, traces, 32, 128) }); n != 0 {
+		t.Fatalf("warm compile allocates %.1f times per CTA", n)
+	}
+}
+
 // compiled keeps BenchmarkCompileCTA's result live.
 var compiled *program
 
 // BenchmarkCompileCTA measures compiling one 256-lane CTA with warm
-// compiler scratch.
+// compiler scratch into one reused program, as a CTA recycled through the
+// program pool is compiled.
 func BenchmarkCompileCTA(b *testing.B) {
 	traces := kmeansCTA()
 	var c compiler
-	c.compile(traces, 32, 128)
+	dst := c.compile(nil, traces, 32, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compiled = c.compile(traces, 32, 128)
+		compiled = c.compile(dst, traces, 32, 128)
 	}
 }
 
@@ -744,7 +776,7 @@ func newReplayRig(t testing.TB) *replayRig {
 	var c compiler
 	s := r.g.sms[0]
 	k := &Kernel{Name: "replay", CTAs: 1, ThreadsPerTA: 32}
-	return &replayRig{r: r, cs: &ctaState{sm: s, k: k, fl: &k.flops}, prog: c.compile(kmeansCTA()[:32], 32, 128)}
+	return &replayRig{r: r, cs: &ctaState{sm: s, k: k, fl: &k.flops}, prog: c.compile(nil, kmeansCTA()[:32], 32, 128)}
 }
 
 // run replays warp 0 of the program to completion on a pooled warp.

@@ -15,7 +15,8 @@ type Event struct {
 	// Kind is the lifecycle step: "start", "retry", "done", "failed",
 	// "replay", or "summary".
 	Kind string `json:"event"`
-	// Name identifies the run ("suite/bench mode"); empty on summary.
+	// Name identifies the run ("suite/bench mode", then the fault plan
+	// when one is injected); empty on summary.
 	Name string `json:"name,omitempty"`
 	// Detail elaborates: the retry reason, the finish summary, the
 	// failure diagnostic, or the final tally.

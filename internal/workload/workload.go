@@ -24,7 +24,11 @@ func (g *Graph) M() int { return len(g.ColIdx) }
 // per vertex, endpoints uniform — the regular end of the graph spectrum.
 func UniformGraph(n, degree int, seed int64) *Graph {
 	r := RNG(seed)
-	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
+	// A vertex has at most degree/2+degree edges: size the edge arrays for
+	// that once rather than let append regrow them.
+	maxM := n * (degree/2 + degree)
+	g := &Graph{N: n, RowPtr: make([]int32, n+1),
+		ColIdx: make([]int32, 0, maxM), EdgeWeigh: make([]float32, 0, maxM)}
 	for v := 0; v < n; v++ {
 		d := degree/2 + r.Intn(degree+1)
 		for e := 0; e < d; e++ {

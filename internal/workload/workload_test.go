@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -103,5 +104,36 @@ func TestCSRConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUniformGraphPresized checks that sizing the edge arrays up front
+// keeps the graph identical to growing them edge by edge, with the same
+// RNG draws, and that the capacity is the degree bound, never exceeded.
+func TestUniformGraphPresized(t *testing.T) {
+	for _, c := range []struct {
+		n, degree int
+		seed      int64
+	}{{1000, 8, 31}, {500, 6, 201}, {300, 12, 17}, {64, 1, 5}} {
+		g := UniformGraph(c.n, c.degree, c.seed)
+		r := RNG(c.seed)
+		var col []int32
+		var w []float32
+		for v := 0; v < c.n; v++ {
+			d := c.degree/2 + r.Intn(c.degree+1)
+			for e := 0; e < d; e++ {
+				col = append(col, int32(r.Intn(c.n)))
+				w = append(w, 1+float32(r.Intn(63)))
+			}
+			if int(g.RowPtr[v+1]) != len(col) {
+				t.Fatalf("n=%d degree=%d: RowPtr[%d] = %d, want %d", c.n, c.degree, v+1, g.RowPtr[v+1], len(col))
+			}
+		}
+		if !slices.Equal(g.ColIdx, col) || !slices.Equal(g.EdgeWeigh, w) {
+			t.Fatalf("n=%d degree=%d: edges differ from the edge-by-edge graph", c.n, c.degree)
+		}
+		if want := c.n * (c.degree/2 + c.degree); cap(g.ColIdx) != want || cap(g.EdgeWeigh) != want {
+			t.Fatalf("n=%d degree=%d: capacities %d/%d, want %d", c.n, c.degree, cap(g.ColIdx), cap(g.EdgeWeigh), want)
+		}
 	}
 }
