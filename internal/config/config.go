@@ -7,6 +7,8 @@ package config
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/memory"
 )
 
 // Kind selects which of the paper's two system organizations to simulate.
@@ -269,6 +271,25 @@ func (s System) Validate() error {
 		return fmt.Errorf("page size %d smaller than line size %d", s.VM.PageBytes, s.LineBytes)
 	case s.VM.PageBytes&(s.VM.PageBytes-1) != 0:
 		return fmt.Errorf("page size %d must be a power of two", s.VM.PageBytes)
+	}
+	// Every simulated cache must be a whole number of sets, each of at most
+	// memory.MaxAssoc ways. (L1IBytes is reported but not simulated.)
+	for _, c := range []struct {
+		name         string
+		bytes, assoc int
+	}{
+		{"CPU L1D", s.CPU.L1DBytes, s.CPU.L1Assoc},
+		{"CPU L2", s.CPU.L2Bytes, s.CPU.L2Assoc},
+		{"GPU L1", s.GPU.L1Bytes, s.GPU.L1Assoc},
+		{"GPU L2", s.GPU.L2Bytes, s.GPU.L2Assoc},
+	} {
+		switch {
+		case c.assoc < 1 || c.assoc > memory.MaxAssoc:
+			return fmt.Errorf("%s associativity %d must be in [1, %d]", c.name, c.assoc, memory.MaxAssoc)
+		case c.bytes <= 0 || c.bytes%(c.assoc*s.LineBytes) != 0:
+			return fmt.Errorf("%s size %d B must be a positive multiple of %d ways x %d B lines",
+				c.name, c.bytes, c.assoc, s.LineBytes)
+		}
 	}
 	if s.Kind == Discrete {
 		if s.CPUMem.Channels <= 0 || s.CPUMem.BytesPerSec <= 0 {

@@ -3,6 +3,8 @@ package config
 import (
 	"math"
 	"testing"
+
+	"repro/internal/memory"
 )
 
 func TestPresetsValidate(t *testing.T) {
@@ -72,6 +74,44 @@ func TestValidateCatchesErrors(t *testing.T) {
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Fatalf("case %d: mutation not caught", i)
+		}
+	}
+}
+
+// TestValidateCacheGeometry checks that Validate, not the cache
+// constructor, rejects a cache that is not a whole number of sets or whose
+// associativity the cache's recency links cannot index.
+func TestValidateCacheGeometry(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*System)
+		ok     bool
+	}{
+		{"presets", func(*System) {}, true},
+		{"CPU L1 assoc 0", func(s *System) { s.CPU.L1Assoc = 0 }, false},
+		{"CPU L2 assoc negative", func(s *System) { s.CPU.L2Assoc = -8 }, false},
+		{"GPU L1 assoc 0", func(s *System) { s.GPU.L1Assoc = 0 }, false},
+		{"GPU L2 assoc above max", func(s *System) { s.GPU.L2Assoc = memory.MaxAssoc + 1 }, false},
+		{"GPU L2 assoc at max", func(s *System) { s.GPU.L2Assoc, s.GPU.L2Bytes = memory.MaxAssoc, memory.MaxAssoc*128*4 }, true},
+		{"GPU L1 24 kB at 5 ways", func(s *System) { s.GPU.L1Assoc = 5 }, false},
+		{"CPU L1D smaller than a set", func(s *System) { s.CPU.L1DBytes = 512 }, false},
+		{"CPU L2 zero", func(s *System) { s.CPU.L2Bytes = 0 }, false},
+		{"GPU L2 negative", func(s *System) { s.GPU.L2Bytes = -1 << 20 }, false},
+		{"GPU L2 not a whole set", func(s *System) { s.GPU.L2Bytes = 1<<20 + 128 }, false},
+		{"1-way caches", func(s *System) { s.CPU.L1Assoc, s.CPU.L2Assoc, s.GPU.L1Assoc, s.GPU.L2Assoc = 1, 1, 1, 1 }, true},
+		{"non-power-of-two sets", func(s *System) { s.GPU.L1Bytes = 12 * 6 * 128 }, true},
+		// The capacities AblateGPUL2 sweeps.
+		{"GPU L2 256 kB", func(s *System) { s.GPU.L2Bytes = 256 << 10 }, true},
+		{"GPU L2 512 kB", func(s *System) { s.GPU.L2Bytes = 512 << 10 }, true},
+		{"GPU L2 1 MB", func(s *System) { s.GPU.L2Bytes = 1 << 20 }, true},
+		{"GPU L2 4 MB", func(s *System) { s.GPU.L2Bytes = 4 << 20 }, true},
+	}
+	for _, tc := range cases {
+		for _, base := range []System{DiscreteGPU(), HeteroProcessor()} {
+			tc.mutate(&base)
+			if err := base.Validate(); (err == nil) != tc.ok {
+				t.Errorf("%s on %s: Validate() = %v, want ok=%v", tc.name, base.Kind, err, tc.ok)
+			}
 		}
 	}
 }

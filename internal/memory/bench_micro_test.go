@@ -21,6 +21,28 @@ func BenchmarkCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheHitSpread cycles hits through all 16 ways of one set of the
+// GPU L2 geometry (1 MB, 16-way, 4 banks). Every access hits the set's least
+// recently used way, so each one moves a way from the tail of the recency
+// list to its head; BenchmarkCacheHit always hits the MRU way.
+func BenchmarkCacheHitSpread(b *testing.B) {
+	const size, assoc, line = 1 << 20, 16, 128
+	c := NewCache(CacheConfig{
+		Name: "c", SizeBytes: size, Assoc: assoc, LineBytes: line,
+		Policy: WriteBack, HitLat: 10, Serv: 1, Banks: 4, Next: &countPort{lat: 100},
+	})
+	var addrs [assoc]Addr
+	for w := range addrs {
+		addrs[w] = Addr(w * size / assoc) // one line per way of set 0
+		c.Access(0, Request{Addr: addrs[w]})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(sim.Tick(i), Request{Addr: addrs[i%assoc]})
+	}
+}
+
 // TestCacheHitZeroAlloc asserts the cache-hit path is allocation-free: with
 // interned counter handles there is no per-access name concatenation or
 // map insertion left.
@@ -37,6 +59,40 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		c.Access(now, Request{Addr: 0})
 	}); a != 0 {
 		t.Fatalf("cache hit allocates %.1f/op, want 0", a)
+	}
+}
+
+// countPort is a next level that only counts requests, so it allocates
+// nothing.
+type countPort struct {
+	lat sim.Tick
+	n   int
+}
+
+func (p *countPort) Access(now sim.Tick, req Request) sim.Tick {
+	p.n++
+	return now + p.lat
+}
+
+// TestCacheMissZeroAlloc asserts the miss path is allocation-free,
+// including victim choice and a dirty eviction's posted writeback: every
+// store maps to set 0 of a full set and evicts a dirty line.
+func TestCacheMissZeroAlloc(t *testing.T) {
+	const size, assoc, line = 64 * 1024, 8, 128
+	next := &countPort{lat: 100}
+	c := NewCache(CacheConfig{
+		Name: "c", SizeBytes: size, Assoc: assoc, LineBytes: line,
+		Policy: WriteBack, HitLat: 10, Serv: 1, Next: next,
+	})
+	var now sim.Tick
+	if a := testing.AllocsPerRun(1000, func() {
+		now++
+		c.Access(now, Request{Addr: Addr(now) * size / assoc, Write: true})
+	}); a != 0 {
+		t.Fatalf("cache miss allocates %.1f/op, want 0", a)
+	}
+	if wb := c.Counters().Get("c.writebacks"); wb < 1000-assoc {
+		t.Fatalf("%d dirty evictions, want every miss past the first %d to evict one", wb, assoc)
 	}
 }
 

@@ -1,6 +1,8 @@
 package memory
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -26,12 +28,26 @@ const (
 	WriteThroughNoAlloc
 )
 
-type cacheLine struct {
-	tag   Addr // line base address
-	valid bool
-	dirty bool
-	lru   uint64
-	comp  stats.Component // who produced the dirty data (writeback attribution)
+// MaxAssoc is the largest associativity a Cache supports: each set's
+// recency list links its ways and its sentinel record with uint8 indices.
+const MaxAssoc = 255
+
+// empty is the tag of a way that holds no line. Cached tags are line-aligned,
+// so the all-ones address never names a line.
+const empty = ^Addr(0)
+
+// way is the per-way state kept beside the tag array: the write-back state
+// of the line it holds and its links in the set's recency list.
+//
+// Each set's ways, plus one sentinel record after them (index assoc), form a
+// circular list in exact LRU order: the sentinel's next is the most recently
+// used way and its prev the next victim. Empty ways form the tail end of the
+// list in descending way order, so the victim is always the lowest empty
+// way, else the least recently used one.
+type way struct {
+	prev, next uint8 // toward the MRU end, toward the LRU end
+	dirty      bool
+	comp       uint8 // stats.Component that produced the dirty data (writeback attribution)
 }
 
 // Cache is a set-associative cache with LRU replacement, write-allocate
@@ -40,17 +56,17 @@ type cacheLine struct {
 type Cache struct {
 	Name      string
 	lineBytes int
-	nsets     int
 	assoc     int
 	policy    WritePolicy
 	hitLat    sim.Tick
 	serv      sim.Tick // port occupancy per access
 	banks     []sim.BusyModel
+	bank0     [1]sim.BusyModel // backs banks for a one-port cache, saving an allocation
 	next      Port
 	srcID     int
 	ctr       *stats.Counters
-	lines     []cacheLine // nsets*assoc
-	lruClock  uint64
+	tags      []Addr // nsets*assoc, set-major; empty marks a free way
+	ways      []way  // nsets*(assoc+1): each set's ways, then its sentinel
 
 	// Precomputed shift/mask index math (power-of-two fast path).
 	li      lineIndexer
@@ -89,13 +105,16 @@ type CacheConfig struct {
 	Counters  *stats.Counters
 }
 
-// NewCache builds a cache. Sets are derived from size/assoc/line; a size not
-// divisible into at least one set panics, as that is a configuration bug.
+// NewCache builds a cache. Sets are derived from size/assoc/line. A geometry
+// that is not a whole number of sets, or an associativity outside
+// [1, MaxAssoc], panics: config.System.Validate rejects those up front.
 func NewCache(cfg CacheConfig) *Cache {
-	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
-	if nsets <= 0 {
-		panic("cache " + cfg.Name + ": size too small for assoc*line")
+	if cfg.Assoc < 1 || cfg.Assoc > MaxAssoc || cfg.LineBytes < 1 ||
+		cfg.SizeBytes <= 0 || cfg.SizeBytes%(cfg.Assoc*cfg.LineBytes) != 0 {
+		panic(fmt.Sprintf("cache %s: %d B is not a whole number of %d-way sets of %d B lines",
+			cfg.Name, cfg.SizeBytes, cfg.Assoc, cfg.LineBytes))
 	}
+	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
 	if cfg.Banks < 1 {
 		cfg.Banks = 1
 	}
@@ -105,20 +124,24 @@ func NewCache(cfg CacheConfig) *Cache {
 	c := &Cache{
 		Name:      cfg.Name,
 		lineBytes: cfg.LineBytes,
-		nsets:     nsets,
 		assoc:     cfg.Assoc,
 		policy:    cfg.Policy,
 		hitLat:    cfg.HitLat,
 		serv:      cfg.Serv,
-		banks:     make([]sim.BusyModel, cfg.Banks),
 		next:      cfg.Next,
 		srcID:     cfg.SrcID,
 		ctr:       cfg.Counters,
-		lines:     make([]cacheLine, nsets*cfg.Assoc),
+		tags:      make([]Addr, nsets*cfg.Assoc),
+		ways:      make([]way, nsets*(cfg.Assoc+1)),
 		li:        newLineIndexer(cfg.LineBytes),
 		setMod:    newModder(nsets),
 		bankMod:   newModder(cfg.Banks),
 	}
+	c.banks = c.bank0[:]
+	if cfg.Banks > 1 {
+		c.banks = make([]sim.BusyModel, cfg.Banks)
+	}
+	c.reset()
 	c.cHits = c.ctr.Handle(cfg.Name + ".hits")
 	c.cMisses = c.ctr.Handle(cfg.Name + ".misses")
 	c.cWriteThrough = c.ctr.Handle(cfg.Name + ".write_through")
@@ -129,17 +152,78 @@ func NewCache(cfg CacheConfig) *Cache {
 	return c
 }
 
+// reset empties every way and lists each set's ways in descending order,
+// so way 0 is the first victim.
+func (c *Cache) reset() {
+	for i := range c.tags {
+		c.tags[i] = empty
+	}
+	n := c.assoc + 1
+	for base := 0; base < len(c.ways); base += n {
+		ways := c.ways[base : base+n]
+		for w := range ways {
+			ways[w] = way{prev: uint8((w + 1) % n), next: uint8((w + n - 1) % n)}
+		}
+	}
+}
+
 // Counters exposes the cache's counter group (hits/misses/writebacks,
 // prefixed with the cache name).
 func (c *Cache) Counters() *stats.Counters { return c.ctr }
 
-func (c *Cache) set(addr Addr) []cacheLine {
-	idx := c.setMod.mod(c.li.index(addr))
-	return c.lines[idx*c.assoc : (idx+1)*c.assoc]
+// setTags returns one set's tags.
+func (c *Cache) setTags(set int) []Addr { return c.tags[set*c.assoc : (set+1)*c.assoc] }
+
+// setWays returns one set's way records, sentinel last.
+func (c *Cache) setWays(set int) []way {
+	n := c.assoc + 1
+	return c.ways[set*n : (set+1)*n]
 }
 
-func (c *Cache) bank(addr Addr) *sim.BusyModel {
-	return &c.banks[c.bankMod.mod(c.li.index(addr))]
+// find returns the set holding addr and the way holding it, or -1.
+func (c *Cache) find(addr Addr) (set, w int) {
+	set = c.setMod.mod(c.li.index(addr))
+	for i, tag := range c.setTags(set) {
+		if tag == addr {
+			return set, i
+		}
+	}
+	return set, -1
+}
+
+// touch makes way w the most recently used of its set.
+func touch(ways []way, w uint8) {
+	s := uint8(len(ways) - 1)
+	x := &ways[w]
+	if x.prev == s {
+		return
+	}
+	ways[x.prev].next = x.next
+	ways[x.next].prev = x.prev
+	x.prev, x.next = s, ways[s].next
+	ways[x.next].prev = w
+	ways[s].next = w
+}
+
+// drop empties way w of set and moves it into the set's run of empty ways
+// at the LRU end, in way order, so the lowest empty way stays the next victim.
+func (c *Cache) drop(set int, w uint8) {
+	tags, ways := c.setTags(set), c.setWays(set)
+	s := uint8(len(ways) - 1)
+	tags[w] = empty
+	x := &ways[w]
+	x.dirty = false
+	ways[x.prev].next = x.next
+	ways[x.next].prev = x.prev
+	// Walk from the LRU end over the empty ways numbered below w; w goes in
+	// just LRU-ward of the record the walk stops at.
+	at := ways[s].prev
+	for at != s && tags[at] == empty && at < w {
+		at = ways[at].prev
+	}
+	x.prev, x.next = at, ways[at].next
+	ways[x.next].prev = w
+	ways[at].next = w
 }
 
 // Access services one line-granularity request and returns its completion
@@ -148,23 +232,23 @@ func (c *Cache) bank(addr Addr) *sim.BusyModel {
 // semantics the paper's off-chip classifier depends on).
 func (c *Cache) Access(now sim.Tick, req Request) sim.Tick {
 	addr := LineAddr(req.Addr, c.lineBytes)
-	start := c.bank(addr).Claim(now, c.serv)
+	idx := c.li.index(addr)
+	start := c.banks[c.bankMod.mod(idx)].Claim(now, c.serv)
 	t := start + c.hitLat
 
-	set := c.set(addr)
-	c.lruClock++
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == addr {
-			ln.lru = c.lruClock
+	set := c.setMod.mod(idx)
+	tags, ways := c.setTags(set), c.setWays(set)
+	for i, tag := range tags {
+		if tag == addr {
+			touch(ways, uint8(i))
 			if req.Write {
 				if c.policy == WriteThroughNoAlloc {
 					c.cWriteThrough.Inc()
 					c.next.Access(t, Request{Addr: addr, Write: true, Comp: req.Comp, SrcID: c.srcID})
 					return t
 				}
-				ln.dirty = true
-				ln.comp = req.Comp
+				ways[i].dirty = true
+				ways[i].comp = uint8(req.Comp)
 			}
 			c.cHits.Inc()
 			return t
@@ -181,68 +265,52 @@ func (c *Cache) Access(now sim.Tick, req Request) sim.Tick {
 	}
 	c.cMisses.Inc()
 
-	victim := c.victim(set)
-	if victim.valid && victim.dirty {
+	v := ways[c.assoc].prev
+	victim := &ways[v]
+	if victim.dirty {
+		comp := stats.Component(victim.comp)
 		c.cWritebacks.Inc()
-		c.spillEvent(t, victim)
+		c.spillEvent(t, tags[v], comp)
 		// Posted write: consumes downstream bandwidth but is off the
 		// requester's critical path.
-		c.next.Access(t, Request{Addr: victim.tag, Write: true, Writeback: true, Comp: victim.comp, SrcID: c.srcID})
+		c.next.Access(t, Request{Addr: tags[v], Write: true, Writeback: true, Comp: comp, SrcID: c.srcID})
 	}
-
-	if req.Write && req.Writeback {
-		// A full-line eviction from the level above installs directly —
-		// no fetch needed.
-		*victim = cacheLine{tag: addr, valid: true, dirty: true, lru: c.lruClock, comp: req.Comp}
-		return t
+	// A full-line eviction from the level above installs directly; any
+	// other miss fetches the line (always a read; write-allocate dirties it
+	// on install).
+	done := t
+	if !(req.Write && req.Writeback) {
+		done = c.next.Access(t, Request{Addr: addr, Comp: req.Comp, SrcID: c.srcID})
 	}
-
-	// Fetch the line (always a read; write-allocate dirties it on install).
-	done := c.next.Access(t, Request{Addr: addr, Comp: req.Comp, SrcID: c.srcID})
-	*victim = cacheLine{tag: addr, valid: true, dirty: req.Write, lru: c.lruClock, comp: req.Comp}
+	tags[v] = addr
+	victim.dirty, victim.comp = req.Write, uint8(req.Comp)
+	touch(ways, v)
 	return done
 }
 
 // spillEvent records one capacity spill (dirty eviction) in the trace,
 // up to the per-cache cap.
-func (c *Cache) spillEvent(now sim.Tick, victim *cacheLine) {
+func (c *Cache) spillEvent(now sim.Tick, tag Addr, comp stats.Component) {
 	if !c.Tr.Enabled() || c.trSpills > maxSpillEvents {
 		return
 	}
 	c.trSpills++
 	if c.trSpills > maxSpillEvents {
-		c.Tr.Instant(victim.comp, c.Name, "spill", "spill events capped", now,
+		c.Tr.Instant(comp, c.Name, "spill", "spill events capped", now,
 			trace.Arg{Key: "cap", Val: maxSpillEvents})
 		return
 	}
-	c.Tr.Instant(victim.comp, c.Name, "spill", "dirty eviction", now,
-		trace.Arg{Key: "line", Val: uint64(victim.tag)})
-}
-
-// victim picks the replacement way: first invalid, else least recently used.
-func (c *Cache) victim(set []cacheLine) *cacheLine {
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	return &set[vi]
+	c.Tr.Instant(comp, c.Name, "spill", "dirty eviction", now,
+		trace.Arg{Key: "line", Val: uint64(tag)})
 }
 
 // Peek reports whether the line is present, without touching LRU or timing.
 func (c *Cache) Peek(addr Addr) (found, dirty bool) {
-	addr = LineAddr(addr, c.lineBytes)
-	set := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			return true, set[i].dirty
-		}
+	set, w := c.find(LineAddr(addr, c.lineBytes))
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	return true, c.setWays(set)[w].dirty
 }
 
 // Probe implements a coherence probe: if the line is present it is
@@ -251,21 +319,18 @@ func (c *Cache) Peek(addr Addr) (found, dirty bool) {
 // The caller (fabric) is responsible for issuing any DRAM writeback implied
 // by a read-probe downgrade of a dirty line.
 func (c *Cache) Probe(addr Addr, forWrite bool) (found, dirty bool, comp stats.Component) {
-	addr = LineAddr(addr, c.lineBytes)
-	set := c.set(addr)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == addr {
-			found, dirty, comp = true, ln.dirty, ln.comp
-			if forWrite {
-				ln.valid = false
-			} else {
-				ln.dirty = false
-			}
-			return found, dirty, comp
-		}
+	set, w := c.find(LineAddr(addr, c.lineBytes))
+	if w < 0 {
+		return false, false, 0
 	}
-	return false, false, 0
+	x := &c.setWays(set)[w]
+	dirty, comp = x.dirty, stats.Component(x.comp)
+	if forWrite {
+		c.drop(set, uint8(w))
+	} else {
+		x.dirty = false
+	}
+	return true, dirty, comp
 }
 
 // InvalidateRange drops every line overlapping [base, base+size). Dirty
@@ -276,15 +341,18 @@ func (c *Cache) InvalidateRange(now sim.Tick, base Addr, size int, comp stats.Co
 	lo := LineAddr(base, c.lineBytes)
 	hi := base + Addr(size)
 	dropped, wb := 0, 0
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid && ln.tag >= lo && ln.tag < hi {
-			if ln.dirty {
+	for set := range c.setMod.n {
+		tags, ways := c.setTags(set), c.setWays(set)
+		for w, tag := range tags {
+			if tag == empty || tag < lo || tag >= hi {
+				continue
+			}
+			if x := &ways[w]; x.dirty {
 				wb++
 				c.cInvalWB.Inc()
-				c.next.Access(now, Request{Addr: ln.tag, Write: true, Writeback: true, Comp: ln.comp, SrcID: c.srcID})
+				c.next.Access(now, Request{Addr: tag, Write: true, Writeback: true, Comp: stats.Component(x.comp), SrcID: c.srcID})
 			}
-			ln.valid = false
+			c.drop(set, uint8(w))
 			dropped++
 		}
 	}
@@ -301,13 +369,16 @@ func (c *Cache) WritebackRange(now sim.Tick, base Addr, size int) {
 	lo := LineAddr(base, c.lineBytes)
 	hi := base + Addr(size)
 	wb := 0
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid && ln.dirty && ln.tag >= lo && ln.tag < hi {
-			wb++
-			c.cRangeWB.Inc()
-			c.next.Access(now, Request{Addr: ln.tag, Write: true, Writeback: true, Comp: ln.comp, SrcID: c.srcID})
-			ln.dirty = false
+	for set := range c.setMod.n {
+		tags, ways := c.setTags(set), c.setWays(set)
+		for w, tag := range tags {
+			// Only ways in use are dirty.
+			if x := &ways[w]; x.dirty && tag >= lo && tag < hi {
+				wb++
+				c.cRangeWB.Inc()
+				c.next.Access(now, Request{Addr: tag, Write: true, Writeback: true, Comp: stats.Component(x.comp), SrcID: c.srcID})
+				x.dirty = false
+			}
 		}
 	}
 	if wb > 0 {
@@ -320,15 +391,17 @@ func (c *Cache) WritebackRange(now sim.Tick, base Addr, size int) {
 // GPU L1s are flushed at kernel boundaries (they are not coherent).
 func (c *Cache) FlushAll(now sim.Tick) {
 	wb := 0
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid && ln.dirty {
-			wb++
-			c.cFlushWB.Inc()
-			c.next.Access(now, Request{Addr: ln.tag, Write: true, Writeback: true, Comp: ln.comp, SrcID: c.srcID})
+	for set := range c.setMod.n {
+		tags, ways := c.setTags(set), c.setWays(set)
+		for w, tag := range tags {
+			if x := &ways[w]; x.dirty {
+				wb++
+				c.cFlushWB.Inc()
+				c.next.Access(now, Request{Addr: tag, Write: true, Writeback: true, Comp: stats.Component(x.comp), SrcID: c.srcID})
+			}
 		}
-		ln.valid = false
 	}
+	c.reset()
 	if wb > 0 {
 		c.Tr.Instant(stats.GPU, c.Name, "coherence", "flush", now,
 			trace.Arg{Key: "writebacks", Val: wb})

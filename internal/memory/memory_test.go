@@ -1,6 +1,9 @@
 package memory
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -440,5 +443,342 @@ func TestCacheWritebackConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// logPort is a next level that records every request with its issue time
+// and answers after a fixed latency.
+type logPort struct {
+	lat sim.Tick
+	log []loggedReq
+}
+
+type loggedReq struct {
+	now sim.Tick
+	req Request
+}
+
+func (p *logPort) Access(now sim.Tick, req Request) sim.Tick {
+	p.log = append(p.log, loggedReq{now, req})
+	return now + p.lat + sim.Tick(req.Addr>>7)%5
+}
+
+// TestCacheMatchesReference drives Cache and refCache with the same seeded
+// random operations and fails at the first difference in a returned tick, a
+// Peek or Probe result, a counter, or a request sent to the next level. The
+// addresses crowd a few sets, so evictions, dirty writebacks and
+// invalidations inside one set are common, and the range operations and
+// FlushAll issue their writebacks in way order: a cache that fills or
+// refills a different physical way than the reference shows up in that
+// order.
+func TestCacheMatchesReference(t *testing.T) {
+	geoms := []struct {
+		name              string
+		assoc, sets, bank int
+	}{
+		{"6way-32sets", 6, 32, 1},
+		{"8way-64sets", 8, 64, 1},
+		{"16way-512sets-4banks", 16, 512, 4},
+		{"4way-12sets", 4, 12, 1},
+		{"1way-16sets", 1, 16, 1},
+		{"255way-2sets", MaxAssoc, 2, 1},
+	}
+	for _, g := range geoms {
+		for _, pol := range []WritePolicy{WriteBack, WriteThroughNoAlloc} {
+			for seed := int64(1); seed <= 4; seed++ {
+				name := fmt.Sprintf("%s/policy=%d/seed=%d", g.name, pol, seed)
+				t.Run(name, func(t *testing.T) {
+					cfg := CacheConfig{
+						Name: "c", SizeBytes: g.assoc * g.sets * 128, Assoc: g.assoc, LineBytes: 128,
+						Policy: pol, HitLat: 10, Serv: 3, Banks: g.bank,
+					}
+					diffAgainstReference(t, cfg, g.sets, seed, 4000)
+				})
+			}
+		}
+	}
+}
+
+func diffAgainstReference(t *testing.T, cfg CacheConfig, sets int, seed int64, ops int) {
+	t.Helper()
+	gotNext, wantNext := &logPort{lat: 50}, &logPort{lat: 50}
+	cfg.Next = gotNext
+	got := NewCache(cfg)
+	cfg.Next = wantNext
+	want := newRefCache(cfg)
+
+	rng := rand.New(rand.NewSource(seed))
+	// Four hot sets (the first, the last and two others), each with twice
+	// its associativity plus one candidate lines.
+	hot := []int{0, sets - 1, rng.Intn(sets), rng.Intn(sets)}
+	addr := func() Addr {
+		line := rng.Intn(2*cfg.Assoc+1)*sets + hot[rng.Intn(len(hot))]
+		return Addr(line*cfg.LineBytes + rng.Intn(cfg.LineBytes))
+	}
+	comps := []stats.Component{stats.CPU, stats.GPU, stats.Copy}
+	var now sim.Tick
+	for i := 0; i < ops; i++ {
+		now += sim.Tick(rng.Intn(4))
+		var op string
+		switch r := rng.Intn(100); {
+		case r < 55:
+			req := Request{Addr: addr(), Write: rng.Intn(3) == 0, Comp: comps[rng.Intn(len(comps))], SrcID: 2}
+			if req.Write && rng.Intn(4) == 0 {
+				req.Writeback = true
+			}
+			op = fmt.Sprintf("Access(%d, %+v)", now, req)
+			if g, w := got.Access(now, req), want.Access(now, req); g != w {
+				t.Fatalf("op %d %s: done at %d, reference %d", i, op, g, w)
+			}
+		case r < 70:
+			a := addr()
+			op = fmt.Sprintf("Peek(%#x)", a)
+			gf, gd := got.Peek(a)
+			wf, wd := want.Peek(a)
+			if gf != wf || gd != wd {
+				t.Fatalf("op %d %s = (%v, %v), reference (%v, %v)", i, op, gf, gd, wf, wd)
+			}
+		case r < 90:
+			a, forWrite := addr(), rng.Intn(2) == 0
+			op = fmt.Sprintf("Probe(%#x, %v)", a, forWrite)
+			gf, gd, gc := got.Probe(a, forWrite)
+			wf, wd, wc := want.Probe(a, forWrite)
+			if gf != wf || gd != wd || gc != wc {
+				t.Fatalf("op %d %s = (%v, %v, %v), reference (%v, %v, %v)", i, op, gf, gd, gc, wf, wd, wc)
+			}
+		case r < 95:
+			lo := Addr(rng.Intn(2*cfg.Assoc*sets*cfg.LineBytes + 1))
+			size := rng.Intn(sets * cfg.LineBytes * 4)
+			if rng.Intn(2) == 0 {
+				op = fmt.Sprintf("InvalidateRange(%d, %#x, %d)", now, lo, size)
+				got.InvalidateRange(now, lo, size, stats.Copy)
+				want.InvalidateRange(now, lo, size, stats.Copy)
+			} else {
+				op = fmt.Sprintf("WritebackRange(%d, %#x, %d)", now, lo, size)
+				got.WritebackRange(now, lo, size)
+				want.WritebackRange(now, lo, size)
+			}
+		default:
+			op = fmt.Sprintf("FlushAll(%d)", now)
+			got.FlushAll(now)
+			want.FlushAll(now)
+		}
+		if len(gotNext.log) != len(wantNext.log) {
+			t.Fatalf("op %d %s: next level has %d requests, reference %d", i, op, len(gotNext.log), len(wantNext.log))
+		}
+		for j := range gotNext.log {
+			if gotNext.log[j] != wantNext.log[j] {
+				t.Fatalf("op %d %s: next-level request %d is %+v, reference %+v", i, op, j, gotNext.log[j], wantNext.log[j])
+			}
+		}
+		gotNext.log, wantNext.log = gotNext.log[:0], wantNext.log[:0]
+	}
+	if g, w := got.Counters().Snapshot(), want.Counters().Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("counters %v, reference %v", g, w)
+	}
+}
+
+// refLine is one way of refCache.
+type refLine struct {
+	tag   Addr
+	valid bool
+	dirty bool
+	lru   uint64
+	comp  stats.Component
+}
+
+// refCache is the struct-scan cache that the tag array and recency lists of
+// Cache replaced, kept as it was minus its trace instants: each way is a
+// refLine with a valid flag and an LRU stamp, a hit scans the lines, and a
+// miss scans them again for the first invalid way, else the smallest stamp.
+// TestCacheMatchesReference drives both with the same operations.
+type refCache struct {
+	lineBytes int
+	assoc     int
+	policy    WritePolicy
+	hitLat    sim.Tick
+	serv      sim.Tick
+	banks     []sim.BusyModel
+	next      Port
+	srcID     int
+	ctr       *stats.Counters
+	lines     []refLine
+	lruClock  uint64
+	li        lineIndexer
+	setMod    modder
+	bankMod   modder
+
+	cHits, cMisses, cWriteThrough, cWritebacks stats.Counter
+	cInvalWB, cRangeWB, cFlushWB               stats.Counter
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
+	if cfg.Banks < 1 {
+		cfg.Banks = 1
+	}
+	c := &refCache{
+		lineBytes: cfg.LineBytes,
+		assoc:     cfg.Assoc,
+		policy:    cfg.Policy,
+		hitLat:    cfg.HitLat,
+		serv:      cfg.Serv,
+		banks:     make([]sim.BusyModel, cfg.Banks),
+		next:      cfg.Next,
+		srcID:     cfg.SrcID,
+		ctr:       stats.NewCounters(),
+		lines:     make([]refLine, nsets*cfg.Assoc),
+		li:        newLineIndexer(cfg.LineBytes),
+		setMod:    newModder(nsets),
+		bankMod:   newModder(cfg.Banks),
+	}
+	c.cHits = c.ctr.Handle(cfg.Name + ".hits")
+	c.cMisses = c.ctr.Handle(cfg.Name + ".misses")
+	c.cWriteThrough = c.ctr.Handle(cfg.Name + ".write_through")
+	c.cWritebacks = c.ctr.Handle(cfg.Name + ".writebacks")
+	c.cInvalWB = c.ctr.Handle(cfg.Name + ".inval_writebacks")
+	c.cRangeWB = c.ctr.Handle(cfg.Name + ".range_writebacks")
+	c.cFlushWB = c.ctr.Handle(cfg.Name + ".flush_writebacks")
+	return c
+}
+
+func (c *refCache) Counters() *stats.Counters { return c.ctr }
+
+func (c *refCache) set(addr Addr) []refLine {
+	idx := c.setMod.mod(c.li.index(addr))
+	return c.lines[idx*c.assoc : (idx+1)*c.assoc]
+}
+
+func (c *refCache) bank(addr Addr) *sim.BusyModel {
+	return &c.banks[c.bankMod.mod(c.li.index(addr))]
+}
+
+func (c *refCache) Access(now sim.Tick, req Request) sim.Tick {
+	addr := LineAddr(req.Addr, c.lineBytes)
+	start := c.bank(addr).Claim(now, c.serv)
+	t := start + c.hitLat
+
+	set := c.set(addr)
+	c.lruClock++
+	for i := range set {
+		ln := &set[i]
+		if ln.valid && ln.tag == addr {
+			ln.lru = c.lruClock
+			if req.Write {
+				if c.policy == WriteThroughNoAlloc {
+					c.cWriteThrough.Inc()
+					c.next.Access(t, Request{Addr: addr, Write: true, Comp: req.Comp, SrcID: c.srcID})
+					return t
+				}
+				ln.dirty = true
+				ln.comp = req.Comp
+			}
+			c.cHits.Inc()
+			return t
+		}
+	}
+
+	if req.Write && c.policy == WriteThroughNoAlloc {
+		c.cWriteThrough.Inc()
+		c.next.Access(t, Request{Addr: addr, Write: true, Comp: req.Comp, SrcID: c.srcID})
+		return t
+	}
+	c.cMisses.Inc()
+
+	victim := c.victim(set)
+	if victim.valid && victim.dirty {
+		c.cWritebacks.Inc()
+		c.next.Access(t, Request{Addr: victim.tag, Write: true, Writeback: true, Comp: victim.comp, SrcID: c.srcID})
+	}
+
+	if req.Write && req.Writeback {
+		*victim = refLine{tag: addr, valid: true, dirty: true, lru: c.lruClock, comp: req.Comp}
+		return t
+	}
+
+	done := c.next.Access(t, Request{Addr: addr, Comp: req.Comp, SrcID: c.srcID})
+	*victim = refLine{tag: addr, valid: true, dirty: req.Write, lru: c.lruClock, comp: req.Comp}
+	return done
+}
+
+// victim picks the replacement way: first invalid, else least recently used.
+func (c *refCache) victim(set []refLine) *refLine {
+	vi := 0
+	for i := range set {
+		if !set[i].valid {
+			return &set[i]
+		}
+		if set[i].lru < set[vi].lru {
+			vi = i
+		}
+	}
+	return &set[vi]
+}
+
+func (c *refCache) Peek(addr Addr) (found, dirty bool) {
+	addr = LineAddr(addr, c.lineBytes)
+	set := c.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == addr {
+			return true, set[i].dirty
+		}
+	}
+	return false, false
+}
+
+func (c *refCache) Probe(addr Addr, forWrite bool) (found, dirty bool, comp stats.Component) {
+	addr = LineAddr(addr, c.lineBytes)
+	set := c.set(addr)
+	for i := range set {
+		ln := &set[i]
+		if ln.valid && ln.tag == addr {
+			found, dirty, comp = true, ln.dirty, ln.comp
+			if forWrite {
+				ln.valid = false
+			} else {
+				ln.dirty = false
+			}
+			return found, dirty, comp
+		}
+	}
+	return false, false, 0
+}
+
+func (c *refCache) InvalidateRange(now sim.Tick, base Addr, size int, comp stats.Component) {
+	lo := LineAddr(base, c.lineBytes)
+	hi := base + Addr(size)
+	for i := range c.lines {
+		ln := &c.lines[i]
+		if ln.valid && ln.tag >= lo && ln.tag < hi {
+			if ln.dirty {
+				c.cInvalWB.Inc()
+				c.next.Access(now, Request{Addr: ln.tag, Write: true, Writeback: true, Comp: ln.comp, SrcID: c.srcID})
+			}
+			ln.valid = false
+		}
+	}
+}
+
+func (c *refCache) WritebackRange(now sim.Tick, base Addr, size int) {
+	lo := LineAddr(base, c.lineBytes)
+	hi := base + Addr(size)
+	for i := range c.lines {
+		ln := &c.lines[i]
+		if ln.valid && ln.dirty && ln.tag >= lo && ln.tag < hi {
+			c.cRangeWB.Inc()
+			c.next.Access(now, Request{Addr: ln.tag, Write: true, Writeback: true, Comp: ln.comp, SrcID: c.srcID})
+			ln.dirty = false
+		}
+	}
+}
+
+func (c *refCache) FlushAll(now sim.Tick) {
+	for i := range c.lines {
+		ln := &c.lines[i]
+		if ln.valid && ln.dirty {
+			c.cFlushWB.Inc()
+			c.next.Access(now, Request{Addr: ln.tag, Write: true, Writeback: true, Comp: ln.comp, SrcID: c.srcID})
+		}
+		ln.valid = false
 	}
 }

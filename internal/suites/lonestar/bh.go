@@ -47,7 +47,8 @@ func (BH) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	cmy := device.AllocBuf[float32](s, maxNodes, "tree_cmy", device.Host)
 	mass := device.AllocBuf[float32](s, maxNodes, "tree_mass", device.Host)
 	half := device.AllocBuf[float32](s, maxNodes, "tree_half", device.Host)
-	pts := workload.Points(n, 2, 171)
+	pts := make([]float32, n*2)
+	workload.Points(pts, 171)
 	for i := 0; i < n; i++ {
 		px.V[i] = pts[i*2]
 		py.V[i] = pts[i*2+1]

@@ -170,7 +170,8 @@ func (TSP) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	ys := device.AllocBuf[float32](s, n, "city_y", device.Host)
 	tour := device.AllocBuf[int32](s, n, "tour", device.Host)
 	best := device.AllocBuf[int32](s, 1, "best_delta", device.Host)
-	pts := workload.Points(n, 2, 191)
+	pts := make([]float32, n*2)
+	workload.Points(pts, 191)
 	for i := 0; i < n; i++ {
 		xs.V[i] = pts[i*2]
 		ys.V[i] = pts[i*2+1]

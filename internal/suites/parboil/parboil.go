@@ -36,7 +36,7 @@ func (Stencil) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	cells := nx * ny * nz
 
 	grid := device.AllocBuf[float32](s, cells, "grid", device.Host)
-	copy(grid.V, workload.Grid(ny*nz, nx, 13))
+	workload.Grid(grid.V, nx, 13)
 
 	// step builds the stencil kernel over cells [base, base+count).
 	step := func(a, b *device.Buf[float32], base, count int) device.KernelSpec {
@@ -256,8 +256,8 @@ func (SGEMM) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	a := device.AllocBuf[float32](s, n*n, "A", device.Host)
 	b := device.AllocBuf[float32](s, n*n, "B", device.Host)
 	cOut := device.AllocBuf[float32](s, n*n, "C", device.Host)
-	copy(a.V, workload.Matrix(n, n, 23))
-	copy(b.V, workload.Matrix(n, n, 24))
+	workload.Matrix(a.V, 23)
+	workload.Matrix(b.V, 24)
 
 	// gemm builds the tiled-multiply kernel over C elements
 	// [base, base+count) — whole rows of C when count is a multiple of n.
@@ -347,7 +347,7 @@ func (FFT) Run(s *device.System, mode bench.Mode, size bench.Size) {
 
 	re := device.AllocBuf[float32](s, total, "real", device.Host)
 	im := device.AllocBuf[float32](s, total, "imag", device.Host)
-	copy(re.V, workload.Points(total, 1, 33))
+	workload.Points(re.V, 33)
 
 	s.BeginROI()
 	dRe, _ := device.ToDevice(s, re)

@@ -156,7 +156,7 @@ func (LBM) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	cells := side * side
 
 	grid := device.AllocBuf[float32](s, cells*dirs, "lbm_grid", device.Host)
-	copy(grid.V, workload.Points(cells*dirs, 1, 161))
+	workload.Points(grid.V, 161)
 
 	s.BeginROI()
 	dA, _ := device.ToDevice(s, grid)

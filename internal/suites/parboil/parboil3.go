@@ -147,9 +147,9 @@ func (MRIQ) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	x := device.AllocBuf[float32](s, voxels, "voxel_x", device.Host)
 	qRe := device.AllocBuf[float32](s, voxels, "q_real", device.Host)
 	qIm := device.AllocBuf[float32](s, voxels, "q_imag", device.Host)
-	copy(kx.V, workload.Points(K, 1, 26))
-	copy(phi.V, workload.Points(K, 1, 27))
-	copy(x.V, workload.Points(voxels, 1, 28))
+	workload.Points(kx.V, 26)
+	workload.Points(phi.V, 27)
+	workload.Points(x.V, 28)
 
 	// computeQ builds the Q kernel over voxels [base, base+count).
 	computeQ := func(dKx, dPhi, dX, dRe, dIm *device.Buf[float32], base, count int) device.KernelSpec {

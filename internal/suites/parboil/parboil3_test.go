@@ -46,9 +46,12 @@ func TestPBFSMatchesHostBFS(t *testing.T) {
 func TestMRIQMatchesHostReplica(t *testing.T) {
 	voxels := bench.ScaleN(16384, bench.SizeSmall)
 	const K = 1024
-	kx := workload.Points(K, 1, 26)
-	phi := workload.Points(K, 1, 27)
-	x := workload.Points(voxels, 1, 28)
+	kx := make([]float32, K)
+	workload.Points(kx, 26)
+	phi := make([]float32, K)
+	workload.Points(phi, 27)
+	x := make([]float32, voxels)
+	workload.Points(x, 28)
 	var wantRe, wantIm float64
 	for v := 0; v < voxels; v++ {
 		var re, im float32

@@ -44,8 +44,10 @@ func TestSpMVMatchesReference(t *testing.T) {
 // host matrix multiply.
 func TestSGEMMMatchesReference(t *testing.T) {
 	n := bench.ScaleSide(192, bench.SizeSmall)
-	a := workload.Matrix(n, n, 23)
-	bm := workload.Matrix(n, n, 24)
+	a := make([]float32, n*n)
+	workload.Matrix(a, 23)
+	bm := make([]float32, n*n)
+	workload.Matrix(bm, 24)
 	var want float64
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
@@ -70,7 +72,7 @@ func TestStencilMatchesReference(t *testing.T) {
 	iters := 4
 	cells := nx * ny * nz
 	cur := make([]float32, cells)
-	copy(cur, workload.Grid(ny*nz, nx, 13))
+	workload.Grid(cur, nx, 13)
 	next := make([]float32, cells)
 	for it := 0; it < iters; it++ {
 		for i := 0; i < cells; i++ {
@@ -120,7 +122,7 @@ func TestFFTMatchesHostReplica(t *testing.T) {
 	total := batch * fftN
 	re := make([]float32, total)
 	im := make([]float32, total)
-	copy(re, workload.Points(total, 1, 33))
+	workload.Points(re, 33)
 
 	bits := 0
 	for 1<<bits < fftN {

@@ -49,10 +49,8 @@ func bpSetup(s *device.System, size bench.Size) *bpData {
 	d.partial = device.AllocBuf[float32](s, (dm.n/dm.block)*dm.hid, "partials", device.Device)
 	d.hidden = device.AllocBuf[float32](s, dm.hid, "hidden", device.Host)
 	d.delta = device.AllocBuf[float32](s, dm.hid, "delta", device.Host)
-	pts := pointsFor(dm.n, 1)
-	copy(d.input.V, pts)
-	w := pointsFor(dm.n*dm.hid, 1)
-	copy(d.weights.V, w)
+	fillPoints(d.input.V)
+	fillPoints(d.weights.V)
 	return d
 }
 

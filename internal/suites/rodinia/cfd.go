@@ -33,7 +33,7 @@ func (CFD) Run(s *device.System, mode bench.Mode, size bench.Size) {
 
 	vars := device.AllocBuf[float32](s, nel*nvar, "variables", device.Host)
 	nb := device.AllocBuf[int32](s, nel*nnb, "neighbors", device.Host)
-	copy(vars.V, workload.Points(nel*nvar, 1, 121))
+	workload.Points(vars.V, 121)
 	rng := workload.RNG(122)
 	for i := range nb.V {
 		nb.V[i] = int32(rng.Intn(nel))

@@ -32,7 +32,7 @@ func (DWT2D) Run(s *device.System, mode bench.Mode, size bench.Size) {
 
 	img := device.AllocBuf[float32](s, cells, "image", device.Host)
 	out := device.AllocBuf[int32](s, cells, "coeffs_q", device.Host)
-	copy(img.V, workload.Grid(n, n, 81))
+	workload.Grid(img.V, n, 81)
 
 	s.BeginROI()
 	dImg, _ := device.ToDevice(s, img)

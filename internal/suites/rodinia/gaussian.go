@@ -30,7 +30,7 @@ func (Gaussian) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	a := device.AllocBuf[float32](s, n*n, "matrix_a", device.Host)
 	b := device.AllocBuf[float32](s, n, "vector_b", device.Host)
 	m := device.AllocBuf[float32](s, n*n, "multipliers", device.Host)
-	copy(a.V, workload.Matrix(n, n, 51))
+	workload.Matrix(a.V, 51)
 	for i := 0; i < n; i++ {
 		a.V[i*n+i] += float32(n) // diagonally dominant
 		b.V[i] = 1

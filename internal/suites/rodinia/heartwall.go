@@ -37,7 +37,7 @@ func (Heartwall) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	img := device.AllocBuf[float32](s, imgSide*imgSide, "frame", device.Host)
 	ptx := device.AllocBuf[int32](s, npts, "point_x", device.Host)
 	pty := device.AllocBuf[int32](s, npts, "point_y", device.Host)
-	copy(img.V, workload.Grid(imgSide, imgSide, 131))
+	workload.Grid(img.V, imgSide, 131)
 	rng := workload.RNG(132)
 	for i := 0; i < npts; i++ {
 		ptx.V[i] = int32(rng.Intn(imgSide - 2*patch))

@@ -34,8 +34,8 @@ func (Hotspot) Run(s *device.System, mode bench.Mode, size bench.Size) {
 
 	temp := device.AllocBuf[float32](s, rows*cols, "temp", device.Host)
 	power := device.AllocBuf[float32](s, rows*cols, "power", device.Host)
-	copy(temp.V, workload.Grid(rows, cols, 11))
-	copy(power.V, workload.Grid(rows, cols, 12))
+	workload.Grid(temp.V, cols, 11)
+	workload.Grid(power.V, cols, 12)
 
 	// step builds the stencil kernel over cells [base, base+count).
 	step := func(a, b, dP *device.Buf[float32], base, count int) device.KernelSpec {

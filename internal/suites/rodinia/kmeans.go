@@ -63,8 +63,8 @@ func kmeansSetup(s *device.System, size bench.Size) *kmeansData {
 	kd.featFM = device.AllocBuf[float32](s, dm.n*dm.d, "features_fm", device.Host)
 	kd.centers = device.AllocBuf[float32](s, dm.k*dm.d, "centers", device.Host)
 	kd.assign = device.AllocBuf[int32](s, dm.n, "assign", device.Host)
-	pts := pointsFor(dm.n, dm.d)
-	copy(kd.featPM.V, pts)
+	pts := kd.featPM.V
+	fillPoints(pts)
 	for i := 0; i < dm.n; i++ {
 		for j := 0; j < dm.d; j++ {
 			kd.featFM.V[j*dm.n+i] = pts[i*dm.d+j]

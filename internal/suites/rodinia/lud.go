@@ -30,7 +30,7 @@ func (LUD) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	nb := n / B
 
 	a := device.AllocBuf[float32](s, n*n, "matrix", device.Host)
-	copy(a.V, workload.Matrix(n, n, 71))
+	workload.Matrix(a.V, 71)
 	for i := 0; i < n; i++ {
 		a.V[i*n+i] += float32(2 * n)
 	}

@@ -44,7 +44,7 @@ func (MummerGPU) Run(s *device.System, mode bench.Mode, size bench.Size) {
 		depth.V[i] = int32(rng.Intn(qLen))
 	}
 	queries := device.AllocBuf[int32](s, nq*qLen, "queries", device.Host)
-	copy(queries.V, workload.Sequence(nq*qLen, 142))
+	workload.Sequence(queries.V, 142)
 	matches := device.AllocBuf[int32](s, nq, "match_lengths", device.Host)
 
 	s.BeginROI()

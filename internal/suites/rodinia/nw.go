@@ -29,8 +29,10 @@ func (NW) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	const B = 16
 	nb := n / B
 
-	seq1 := workload.Sequence(n, 61)
-	seq2 := workload.Sequence(n, 62)
+	seq1 := make([]int32, n)
+	workload.Sequence(seq1, 61)
+	seq2 := make([]int32, n)
+	workload.Sequence(seq2, 62)
 	ref := device.AllocBuf[int32](s, n*n, "reference", device.Host)
 	score := device.AllocBuf[int32](s, (n+1)*(n+1), "score", device.Host)
 	for r := 0; r < n; r++ {

@@ -37,7 +37,7 @@ func (ParticleFilter) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	px := device.AllocBuf[float32](s, particles, "particles_x", device.Host)
 	py := device.AllocBuf[float32](s, particles, "particles_y", device.Host)
 	like := device.AllocBuf[float32](s, particles, "likelihood", device.Host)
-	copy(img.V, workload.Grid(imgSide, imgSide, 91))
+	workload.Grid(img.V, imgSide, 91)
 	rng := workload.RNG(92)
 	for i := 0; i < particles; i++ {
 		px.V[i] = rng.Float32() * float32(imgSide-patch)

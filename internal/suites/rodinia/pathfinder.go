@@ -30,7 +30,8 @@ func (Pathfinder) Run(s *device.System, mode bench.Mode, size bench.Size) {
 
 	wall := device.AllocBuf[int32](s, rows*cols, "wall", device.Host)
 	result := device.AllocBuf[int32](s, cols, "result", device.Host)
-	g := workload.Grid(rows, cols, 21)
+	g := make([]float32, rows*cols)
+	workload.Grid(g, cols, 21)
 	for i, v := range g {
 		wall.V[i] = int32(v * 10)
 	}

@@ -40,7 +40,7 @@ func (ParticleFilterFloat) Run(s *device.System, mode bench.Mode, size bench.Siz
 	py := device.AllocBuf[float32](s, particles, "particles_y", device.Host)
 	// Per-CTA partials: sum(w), sum(w*x), sum(w*y).
 	partial := device.AllocBuf[float32](s, ctas*3, "pf_partials", device.Device)
-	copy(img.V, workload.Grid(imgSide, imgSide, 93))
+	workload.Grid(img.V, imgSide, 93)
 	rng := workload.RNG(94)
 	for i := 0; i < particles; i++ {
 		px.V[i] = rng.Float32() * float32(imgSide-patch)

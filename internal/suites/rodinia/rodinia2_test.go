@@ -14,7 +14,7 @@ func TestCFDMatchesHostReplica(t *testing.T) {
 	const nvar, nnb = 5, 4
 	iters := 3
 	vars := make([]float32, nel*nvar)
-	copy(vars, workload.Points(nel*nvar, 1, 121))
+	workload.Points(vars, 121)
 	nb := make([]int32, nel*nnb)
 	rng := workload.RNG(122)
 	for i := range nb {
@@ -76,7 +76,8 @@ func TestMummerMatchesReplica(t *testing.T) {
 	for i := range depth {
 		depth[i] = int32(rng.Intn(qLen))
 	}
-	queries := workload.Sequence(nq*qLen, 142)
+	queries := make([]int32, nq*qLen)
+	workload.Sequence(queries, 142)
 	var want float64
 	for q := 0; q < nq; q++ {
 		state := int32(0)

@@ -22,7 +22,8 @@ func relClose(a, b, tol float64) bool {
 // against a pure-Go re-implementation of the same Lloyd iterations.
 func TestKmeansMatchesReference(t *testing.T) {
 	dm := kmeansSize(bench.SizeSmall)
-	pts := pointsFor(dm.n, dm.d)
+	pts := make([]float32, dm.n*dm.d)
+	fillPoints(pts)
 
 	// Reference: identical math, no simulator.
 	centers := make([]float32, dm.k*dm.d)
@@ -131,7 +132,8 @@ func TestBFSMatchesHostBFS(t *testing.T) {
 // original system.
 func TestGaussianSolvesSystem(t *testing.T) {
 	n := bench.ScaleSide(96, bench.SizeSmall)
-	a := workload.Matrix(n, n, 51)
+	a := make([]float32, n*n)
+	workload.Matrix(a, 51)
 	aOrig := make([]float64, n*n)
 	for i := range a {
 		aOrig[i] = float64(a[i])
@@ -181,7 +183,8 @@ func TestGaussianSolvesSystem(t *testing.T) {
 func TestPathfinderMatchesDP(t *testing.T) {
 	cols := bench.ScaleN(65536, bench.SizeSmall)
 	rows := 32
-	g := workload.Grid(rows, cols, 21)
+	g := make([]float32, rows*cols)
+	workload.Grid(g, cols, 21)
 	wall := make([]int32, rows*cols)
 	for i, v := range g {
 		wall[i] = int32(v * 10)
@@ -220,8 +223,10 @@ func TestHotspotMatchesStencil(t *testing.T) {
 	rows := bench.ScaleSide(256, bench.SizeSmall)
 	cols := 512
 	iters := 4
-	temp64 := workload.Grid(rows, cols, 11)
-	power := workload.Grid(rows, cols, 12)
+	temp64 := make([]float32, rows*cols)
+	workload.Grid(temp64, cols, 11)
+	power := make([]float32, rows*cols)
+	workload.Grid(power, cols, 12)
 	cur := make([]float32, rows*cols)
 	copy(cur, temp64)
 	next := make([]float32, rows*cols)

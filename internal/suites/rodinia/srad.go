@@ -37,7 +37,7 @@ func (SRAD) Run(s *device.System, mode bench.Mode, size bench.Size) {
 	cells := rows * cols
 
 	img := device.AllocBuf[float32](s, cells, "image", device.Host)
-	copy(img.V, workload.Grid(rows, cols, 41))
+	workload.Grid(img.V, cols, 41)
 
 	s.BeginROI()
 	dImg, _ := device.ToDevice(s, img)

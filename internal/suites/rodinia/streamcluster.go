@@ -41,7 +41,7 @@ func scSetup(s *device.System, size bench.Size) *scData {
 	d.pts = device.AllocBuf[float32](s, dm.n*dm.d, "points", device.Host)
 	d.curDst = device.AllocBuf[float32](s, dm.n, "cur_dist", device.Host)
 	d.gain = device.AllocBuf[float32](s, dm.n, "gain", device.Host)
-	copy(d.pts.V, pointsFor(dm.n, dm.d))
+	fillPoints(d.pts.V)
 	for i := range d.curDst.V {
 		d.curDst.V[i] = 1e3
 	}

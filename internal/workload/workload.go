@@ -132,49 +132,44 @@ func Symmetrize(g *Graph) *Graph {
 	return out
 }
 
-// Points generates n points of dim float32 features in [0, 1).
-func Points(n, dim int, seed int64) []float32 {
+// Points fills dst with float32 features in [0, 1), one draw per element:
+// n points of dim features are a dst of n*dim.
+func Points(dst []float32, seed int64) {
 	r := RNG(seed)
-	out := make([]float32, n*dim)
-	for i := range out {
-		out[i] = r.Float32()
+	for i := range dst {
+		dst[i] = r.Float32()
 	}
-	return out
 }
 
-// Matrix generates rows x cols float32 values in [-1, 1).
-func Matrix(rows, cols int, seed int64) []float32 {
+// Matrix fills dst with float32 values in [-1, 1), one draw per element.
+func Matrix(dst []float32, seed int64) {
 	r := RNG(seed)
-	out := make([]float32, rows*cols)
-	for i := range out {
-		out[i] = 2*r.Float32() - 1
+	for i := range dst {
+		dst[i] = 2*r.Float32() - 1
 	}
-	return out
 }
 
-// Grid generates a rows x cols field with smooth spatial variation, as a
-// stand-in for the image/temperature inputs of hotspot, srad, and stencil.
-func Grid(rows, cols int, seed int64) []float32 {
+// Grid fills dst, a row-major field len(dst)/cols rows by cols, with smooth
+// spatial variation, as a stand-in for the image/temperature inputs of
+// hotspot, srad, and stencil.
+func Grid(dst []float32, cols int, seed int64) {
 	r := RNG(seed)
-	out := make([]float32, rows*cols)
 	// Low-frequency base + noise.
 	fx := 1 + r.Intn(5)
 	fy := 1 + r.Intn(5)
-	for y := 0; y < rows; y++ {
-		for x := 0; x < cols; x++ {
+	for y := 0; y*cols < len(dst); y++ {
+		row := dst[y*cols : (y+1)*cols]
+		for x := range row {
 			base := float32((x*fx+y*fy)%97) / 97
-			out[y*cols+x] = base + 0.1*r.Float32()
+			row[x] = base + 0.1*r.Float32()
 		}
 	}
-	return out
 }
 
-// Sequence generates a random ACGT string as int32 codes (mummer-style).
-func Sequence(n int, seed int64) []int32 {
+// Sequence fills dst with a random ACGT string as int32 codes (mummer-style).
+func Sequence(dst []int32, seed int64) {
 	r := RNG(seed)
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.Intn(4))
+	for i := range dst {
+		dst[i] = int32(r.Intn(4))
 	}
-	return out
 }

@@ -62,21 +62,30 @@ func TestRMATGraphSkew(t *testing.T) {
 }
 
 func TestPointsMatrixGridRanges(t *testing.T) {
-	for _, v := range Points(100, 4, 3) {
+	pts := make([]float32, 100*4)
+	Points(pts, 3)
+	for _, v := range pts {
 		if v < 0 || v >= 1 {
 			t.Fatalf("point out of range: %v", v)
 		}
 	}
-	for _, v := range Matrix(10, 10, 3) {
+	m := make([]float32, 10*10)
+	Matrix(m, 3)
+	for _, v := range m {
 		if v < -1 || v >= 1 {
 			t.Fatalf("matrix out of range: %v", v)
 		}
 	}
-	g := Grid(32, 32, 3)
-	if len(g) != 1024 {
-		t.Fatal("grid size wrong")
+	g := make([]float32, 32*32)
+	Grid(g, 32, 3)
+	for _, v := range g {
+		if v < 0 || v >= 1.1 {
+			t.Fatalf("grid value out of range: %v", v)
+		}
 	}
-	for _, v := range Sequence(100, 3) {
+	seq := make([]int32, 100)
+	Sequence(seq, 3)
+	for _, v := range seq {
 		if v < 0 || v > 3 {
 			t.Fatalf("sequence code out of range: %d", v)
 		}
