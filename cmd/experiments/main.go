@@ -14,17 +14,18 @@
 // limited-copy mode (plus each benchmark's restructured organizations):
 // Figure 3 is its four kmeans runs (alone, without -only, it sweeps just
 // kmeans), and Figure 10 compares every measured overlapped organization
-// against the Eq. 1 Rco bound from its baseline run. The fault matrix
-// runs like the sweep; only the ablations, which vary the machine config
-// itself, run on their own. Runs execute on -jobs workers (default
-// GOMAXPROCS), and -par additionally parallelizes each run internally
-// (trace generation pipelined against the timing model); output is
-// byte-identical for every -jobs and -par value.
+// against the Eq. 1 Rco bound from its baseline run. The ablations and
+// the fault matrix run like the sweep: each of their runs names the
+// machine it simulates, with a design knob moved or a fault injected.
+// Runs execute on -jobs workers (default GOMAXPROCS), and -par
+// additionally parallelizes each run internally (trace generation
+// pipelined against the timing model); output is byte-identical for
+// every -jobs and -par value.
 // Sweeps are fault-tolerant: a run that panics, deadlocks, or exceeds its
 // -timeout/-max-events budget is recorded and footnoted in the figures
 // instead of aborting the sweep. -inject degrades the simulated hardware
-// for every sweep run, Figure 3's included (the fault matrix sets its own
-// plans; see -exp faults). -csv and -json export the sweep's rows for
+// for every sweep and ablation run, Figure 3's included (the fault matrix
+// sets its own plans; see -exp faults). -csv and -json export the sweep's rows for
 // external tooling.
 //
 // -trace records the shared sweep into a Chrome trace-event / Perfetto
@@ -33,18 +34,17 @@
 // emits live per-run start/retry/done lines on stderr; figures on stdout
 // stay byte-identical with it on or off.
 //
-// -state DIR makes the sweep and the fault matrix crash-safe: every
-// completed run is stored durably in the run store at DIR (see
-// internal/store), keyed by what determines its result, and every run
-// looks its key up first. A rerun with the same -state — after an
-// interrupt, or with a sweep that overlaps an earlier one — simulates
-// only the missing runs and produces output byte-identical to a sweep
-// that simulated everything.
+// -state DIR makes the sweep, the ablations and the fault matrix
+// crash-safe: every completed run is stored durably in the run store at
+// DIR (see internal/store), keyed by what determines its result, the
+// simulated machine included, and every run looks its key up first. A
+// rerun with the same -state — after an interrupt, or with a sweep that
+// overlaps an earlier one — simulates only the missing runs and produces
+// output byte-identical to a sweep that simulated everything.
 // SIGINT/SIGTERM shut down gracefully: the first signal stops dispatching
 // new runs, drains (and stores) the in-flight ones, and writes a
 // partial report; a second signal aborts the in-flight runs too; a third
-// restores default signal behavior. An interrupted sweep exits 130; a
-// signal during the ablations, which run first, still kills at once.
+// restores default signal behavior. An interrupted sweep exits 130.
 // -stall kills any run whose simulated clock stops advancing for the
 // given wall-clock window while events still execute (a livelock) and
 // footnotes it like any other failed run.
@@ -68,6 +68,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -112,7 +113,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited)")
 	maxEvents := flag.Uint64("max-events", 0, "simulation event budget per run (0 = unlimited)")
 	stall := flag.Duration("stall", 0, "kill a run whose simulated time stops advancing for this long (0 = disabled)")
-	stateDir := flag.String("state", "", "keep the sweep's and the fault matrix's runs in the run store at DIR and reuse the ones it already holds")
+	stateDir := flag.String("state", "", "keep the sweep's, the ablations' and the fault matrix's runs in the run store at DIR and reuse the ones it already holds")
 	inject := flag.String("inject", "", "hardware fault plan for every run, e.g. pcie=0.25,fault=8,dram=0:100:600")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	metricsDump := flag.Bool("metrics", false, "print run-lifecycle metrics (Prometheus text format) to stderr at exit")
@@ -176,7 +177,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "-size: %v\n", err)
 		return 2
 	}
-	fault, err := harness.ParseFaultPlan(*inject)
+	fault, err := config.ParseFaults(*inject)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-inject: %v\n", err)
 		return 2
@@ -200,20 +201,13 @@ func run() int {
 	if sel("table2") {
 		fmt.Println(experiments.Table2Text())
 	}
-	if sel("ablation") {
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, "running ablation sweeps...")
-		}
-		fmt.Println(experiments.AblationText(size))
-	}
-
 	var sweepFigs []string
 	for _, f := range sweepFigures {
 		if sel(f) {
 			sweepFigs = append(sweepFigs, f)
 		}
 	}
-	if !sel("faults") && len(sweepFigs) == 0 {
+	if !sel("ablation") && !sel("faults") && len(sweepFigs) == 0 {
 		return 0
 	}
 	opts := experiments.SweepOpts{
@@ -248,9 +242,27 @@ func run() int {
 	opts.Store, opts.OnStored = st.Store, st.OnStored
 	dispatchCtx, runCtx, stopSignals := sweep.SignalContexts(nil, os.Stderr)
 	opts.Ctx, opts.RunCtx = dispatchCtx, runCtx
-	// completed and total count the fault matrix's and the sweep's runs
-	// for the interrupt notice.
+	// completed and total count the ablations', the fault matrix's and
+	// the sweep's runs for the interrupt notice; a nil outcome never ran.
 	completed, total := 0, 0
+	tally := func(outs ...*harness.Outcome) {
+		for _, out := range outs {
+			total++
+			if out != nil {
+				completed++
+			}
+		}
+	}
+	if sel("ablation") {
+		if !*quiet {
+			fmt.Fprintln(os.Stderr, "running ablation sweeps...")
+		}
+		ao := opts
+		ao.Progress = sweep.NewTracker(progressOut, 0)
+		outs := experiments.AblationSweep(size, ao)
+		tally(outs...)
+		fmt.Println(experiments.AblationText(outs))
+	}
 	if sel("faults") {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr, "running fault-injection sweep (baseline + injected per case)...")
@@ -259,12 +271,7 @@ func run() int {
 		fo.Progress = sweep.NewTracker(progressOut, 0)
 		rows := experiments.FaultSweep(size, fo)
 		for _, fr := range rows {
-			for _, out := range []*harness.Outcome{fr.Baseline, fr.Injected} {
-				total++
-				if out != nil {
-					completed++
-				}
-			}
+			tally(fr.Baseline, fr.Injected)
 		}
 		fmt.Println(experiments.FaultSweepText(rows))
 	}

@@ -203,24 +203,27 @@ func TestRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestFig3FaultsShareStore: Figure 3 and the fault matrix run through the
-// run store like the sweep does. The fault matrix's nominal kmeans copy
-// run is Figure 3's baseline, so a fresh store simulates it once; a
-// rerun on the same store simulates nothing and prints the same bytes.
+// TestFig3FaultsShareStore: the ablations, Figure 3 and the fault matrix
+// run through the run store like the sweep does. Each ablation knob's
+// stock point is the fault matrix's nominal run of its benchmark, and the
+// kmeans one is Figure 3's baseline too, so a fresh store simulates each
+// of those once; a rerun on the same store simulates nothing and prints
+// the same bytes.
 func TestFig3FaultsShareStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
 	dir := t.TempDir()
 	bin := buildBinary(t, dir)
-	args := []string{"-exp", "fig3,faults", "-jobs", "1", "-q", "-metrics", "-state", filepath.Join(dir, "state")}
+	args := []string{"-exp", "ablation,fig3,faults", "-jobs", "1", "-q", "-metrics", "-state", filepath.Join(dir, "state")}
 	code, first, stderr := exitCode(t, bin, args...)
 	if code != 0 {
 		t.Fatalf("first run exit %d:\n%s", code, stderr)
 	}
-	// 6 fault-matrix runs + 4 kmeans organizations, one shared.
-	if got := simRuns(t, stderr); got != 9 {
-		t.Fatalf("first run simulated %d runs, want 9", got)
+	// 15 ablation runs, 3 of them the fault matrix's nominal runs, plus
+	// 3 injected runs and the 3 kmeans organizations besides copy.
+	if got := simRuns(t, stderr); got != 21 {
+		t.Fatalf("first run simulated %d runs, want 21", got)
 	}
 	code, second, stderr := exitCode(t, bin, args...)
 	if code != 0 {

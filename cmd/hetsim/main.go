@@ -51,6 +51,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/sweep"
@@ -107,7 +108,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-size: %v\n", err)
 		os.Exit(2)
 	}
-	fault, err := harness.ParseFaultPlan(*inject)
+	machine := bench.ConfigFor(mode)
+	machine.Faults, err = config.ParseFaults(*inject)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-inject: %v\n", err)
 		os.Exit(2)
@@ -130,7 +132,7 @@ func main() {
 			os.Exit(1)
 		}
 		spec := harness.Spec{
-			Bench: b, Mode: mode, Size: size, Fault: fault, Ctx: runCtx, Stall: *stall, Parallel: *par,
+			Bench: b, Mode: mode, Size: size, Machine: &machine, Ctx: runCtx, Stall: *stall, Parallel: *par,
 			Budget: harness.Budget{MaxEvents: *maxEvents, Timeout: *timeout},
 		}
 		if *tracePath != "" || *flame {
@@ -221,8 +223,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "note: ran at size %s after exceeding the budget at %s (%d attempts)\n",
 				out.Size, size, out.Attempts)
 		}
-		if fault.Active() {
-			fmt.Printf("injected faults: %s\n", fault)
+		if machine.Faults.Active() {
+			fmt.Printf("injected faults: %s\n", machine.Faults)
 		}
 		fmt.Print(out.Report.String())
 		if *counters {

@@ -217,37 +217,23 @@ func SystemFor(m Mode) *device.System {
 
 // Execute runs one benchmark in one mode and returns the analysis report.
 func Execute(b Benchmark, mode Mode, size Size) *core.Report {
-	if !b.Info().Supports(mode) {
-		panic(fmt.Sprintf("bench: %s does not support %s", b.Info().FullName(), mode))
-	}
-	s := SystemFor(mode)
-	b.Run(s, mode, size)
-	start, end := s.Col.ROI()
-	if end <= start {
-		panic(fmt.Sprintf("bench: %s (%s) recorded no ROI", b.Info().FullName(), mode))
-	}
-	return s.Report(b.Info().FullName(), mode.String())
+	rep, _ := ExecuteWithResult(b, mode, size)
+	return rep
 }
 
 // ExecuteWithResult runs one benchmark and also returns the functional
 // output digests it published with System.AddResult — the hook correctness
 // tests use to compare organizations against each other and against
-// reference implementations.
+// reference implementations. It panics on an unsupported mode and on a run
+// that recorded no region of interest.
 func ExecuteWithResult(b Benchmark, mode Mode, size Size) (*core.Report, []float64) {
 	if !b.Info().Supports(mode) {
 		panic(fmt.Sprintf("bench: %s does not support %s", b.Info().FullName(), mode))
 	}
 	s := SystemFor(mode)
 	b.Run(s, mode, size)
-	return s.Report(b.Info().FullName(), mode.String()), s.Result
-}
-
-// ExecuteOnSystem runs one benchmark on a caller-built machine — the hook
-// the ablation studies use to sweep configuration knobs.
-func ExecuteOnSystem(b Benchmark, s *device.System, mode Mode, size Size) *core.Report {
-	if !b.Info().Supports(mode) {
-		panic(fmt.Sprintf("bench: %s does not support %s", b.Info().FullName(), mode))
+	if start, end := s.Col.ROI(); end <= start {
+		panic(fmt.Sprintf("bench: %s (%s) recorded no ROI", b.Info().FullName(), mode))
 	}
-	b.Run(s, mode, size)
-	return s.Report(b.Info().FullName(), mode.String())
+	return s.Report(b.Info().FullName(), mode.String()), s.Result
 }

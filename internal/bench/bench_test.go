@@ -1,6 +1,12 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/device"
+)
 
 func TestModeStrings(t *testing.T) {
 	want := map[Mode]string{
@@ -100,5 +106,30 @@ func TestCensusImplementedSubsetWorks(t *testing.T) {
 func TestScaleN(t *testing.T) {
 	if ScaleN(100, SizeSmall) != 100 || ScaleN(100, SizeMedium) != 400 {
 		t.Fatal("ScaleN wrong")
+	}
+}
+
+// noROI is a benchmark that never opens its region of interest.
+type noROI struct{}
+
+func (noROI) Info() Info                     { return Info{Suite: "zz_test", Name: "no-roi"} }
+func (noROI) Run(*device.System, Mode, Size) {}
+
+// TestExecuteRequiresROI: a run that recorded no region of interest is a
+// broken benchmark, so both runners panic instead of returning an empty
+// report a correctness test could pass on.
+func TestExecuteRequiresROI(t *testing.T) {
+	for name, run := range map[string]func(){
+		"Execute":           func() { Execute(noROI{}, ModeCopy, SizeSmall) },
+		"ExecuteWithResult": func() { ExecuteWithResult(noROI{}, ModeCopy, SizeSmall) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "recorded no ROI") {
+					t.Errorf("%s on a benchmark without an ROI: recovered %v, want a no-ROI panic", name, r)
+				}
+			}()
+			run()
+		}()
 	}
 }

@@ -7,6 +7,8 @@ package config
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/memory"
 )
@@ -106,9 +108,10 @@ type VMConfig struct {
 }
 
 // FaultConfig describes deliberate hardware degradations injected into a
-// run — the harness's fault-injection experiments use these to verify the
+// run — the fault-injection experiments use these to verify the
 // analytical models degrade gracefully instead of crashing or emitting
-// NaNs. The zero value injects nothing.
+// NaNs. It is also the parsed form of the -inject flag (ParseFaults).
+// The zero value injects nothing.
 type FaultConfig struct {
 	// PCIeBWFrac, when in (0,1), scales the copy engine's link bandwidth
 	// to that fraction of peak (a throttled or degraded PCIe link).
@@ -137,6 +140,80 @@ func (f FaultConfig) PCIeThrottled() bool { return f.PCIeBWFrac > 0 && f.PCIeBWF
 
 // DRAMStalled reports whether the DRAM-channel fault is active.
 func (f FaultConfig) DRAMStalled() bool { return f.DRAMStallEndUs > f.DRAMStallStartUs }
+
+// String renders the faults in the -inject flag syntax ("none" when
+// nothing is injected).
+func (f FaultConfig) String() string {
+	if !f.Active() {
+		return "none"
+	}
+	var parts []string
+	if f.PCIeThrottled() {
+		parts = append(parts, fmt.Sprintf("pcie=%g", f.PCIeBWFrac))
+	}
+	if f.FaultLatMult > 1 {
+		parts = append(parts, fmt.Sprintf("fault=%g", f.FaultLatMult))
+	}
+	if f.DRAMStalled() {
+		parts = append(parts, fmt.Sprintf("dram=%d:%g:%g",
+			f.DRAMStallChannel, f.DRAMStallStartUs, f.DRAMStallEndUs))
+	}
+	return strings.Join(parts, ",")
+}
+
+// ParseFaults parses the -inject flag syntax: comma-separated terms
+//
+//	pcie=FRAC        throttle the PCIe/copy link to FRAC of peak, 0<FRAC<1
+//	fault=MULT       multiply page-fault service latency by MULT >= 1
+//	dram=CH:FROM:TO  stall DRAM channel CH for [FROM,TO) simulated µs
+//
+// e.g. "pcie=0.25,fault=8,dram=0:100:600". An empty string or "none"
+// injects nothing (the zero value).
+func ParseFaults(s string) (FaultConfig, error) {
+	var f FaultConfig
+	s = strings.TrimSpace(s)
+	if s == "" || s == "none" {
+		return f, nil
+	}
+	for _, term := range strings.Split(s, ",") {
+		key, val, ok := strings.Cut(strings.TrimSpace(term), "=")
+		if !ok {
+			return FaultConfig{}, fmt.Errorf("fault term %q: want key=value", term)
+		}
+		switch key {
+		case "pcie":
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil || v <= 0 || v >= 1 {
+				return FaultConfig{}, fmt.Errorf("fault term %q: want a bandwidth fraction in (0,1)", term)
+			}
+			f.PCIeBWFrac = v
+		case "fault":
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil || v < 1 {
+				return FaultConfig{}, fmt.Errorf("fault term %q: want a latency multiplier >= 1", term)
+			}
+			f.FaultLatMult = v
+		case "dram":
+			fields := strings.Split(val, ":")
+			if len(fields) != 3 {
+				return FaultConfig{}, fmt.Errorf("fault term %q: want dram=CH:FROM_US:TO_US", term)
+			}
+			ch, err := strconv.Atoi(fields[0])
+			if err != nil || ch < 0 {
+				return FaultConfig{}, fmt.Errorf("fault term %q: bad channel %q", term, fields[0])
+			}
+			from, err1 := strconv.ParseFloat(fields[1], 64)
+			to, err2 := strconv.ParseFloat(fields[2], 64)
+			if err1 != nil || err2 != nil || from < 0 || to <= from {
+				return FaultConfig{}, fmt.Errorf("fault term %q: want 0 <= FROM_US < TO_US", term)
+			}
+			f.DRAMStallChannel, f.DRAMStallStartUs, f.DRAMStallEndUs = ch, from, to
+		default:
+			return FaultConfig{}, fmt.Errorf("fault term %q: unknown key (want pcie, fault, or dram)", term)
+		}
+	}
+	return f, nil
+}
 
 // System is a complete simulated system description.
 type System struct {

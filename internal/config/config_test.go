@@ -166,3 +166,38 @@ func TestPerChannelBW(t *testing.T) {
 		t.Fatalf("per-channel = %g", got)
 	}
 }
+
+func TestParseFaults(t *testing.T) {
+	f, err := ParseFaults("pcie=0.25,fault=8,dram=1:100:600")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f != (FaultConfig{PCIeBWFrac: 0.25, FaultLatMult: 8, DRAMStallChannel: 1, DRAMStallStartUs: 100, DRAMStallEndUs: 600}) {
+		t.Fatalf("parsed = %+v", f)
+	}
+	if !f.Active() {
+		t.Fatal("faults should be active")
+	}
+	// Round-trip through String.
+	if rt, err := ParseFaults(f.String()); err != nil || rt != f {
+		t.Fatalf("round trip: %+v vs %+v (%v)", rt, f, err)
+	}
+	// Empty and none inject nothing.
+	for _, s := range []string{"", "none", "  "} {
+		if f, err := ParseFaults(s); f != (FaultConfig{}) || err != nil {
+			t.Fatalf("ParseFaults(%q) = %+v, %v", s, f, err)
+		}
+	}
+	if s := (FaultConfig{}).String(); s != "none" {
+		t.Fatalf("zero faults render %q, want none", s)
+	}
+	// Rejections.
+	for _, s := range []string{
+		"pcie=2", "pcie=0", "pcie=x", "fault=0.5", "dram=0:600:100",
+		"dram=0:100", "bogus=1", "pcie", "dram=-1:0:100",
+	} {
+		if _, err := ParseFaults(s); err == nil {
+			t.Fatalf("ParseFaults(%q) should fail", s)
+		}
+	}
+}

@@ -2,142 +2,173 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/harness"
 )
 
-// AblationRow is one configuration point of an ablation sweep.
-type AblationRow struct {
-	Knob  string
-	Value string
-	ROIms float64
-	Extra string
+// AblationCase is one point of an ablation: a benchmark run on its mode's
+// machine with one design knob moved.
+type AblationCase struct {
+	Knob  string // the knob, as the table names it
+	Value string // its value at this point
+	Bench bench.Benchmark
+	Mode  bench.Mode
+	Tweak func(*config.System) // moves the knob
 }
 
-// AblateCoherence isolates what CPU-GPU cache coherence is worth to a
-// latency-bound consumer: the GPU produces a buffer that fits in its L2 and
-// the CPU immediately walks it with dependent loads. With coherence the
-// reads are cache-to-cache transfers; without it every one goes to DRAM.
-func AblateCoherence(size bench.Size) []AblationRow {
-	n := bench.ScaleN(64*1024, size) // 256kB-1MB of float32
-	var rows []AblationRow
-	for _, off := range []bool{false, true} {
-		cfg := config.HeteroProcessor()
-		cfg.NoCoherence = off
-		s := device.NewSystem(cfg)
-		buf := device.AllocBuf[float32](s, n, "pc_buffer", device.Host)
-		s.BeginROI()
-		s.Launch(device.KernelSpec{
-			Name: "produce", Grid: n / 256, Block: 256,
-			Func: func(t *device.Thread) {
-				i := t.Global()
-				t.FLOP(2)
-				device.St(t, buf, i, float32(i%7))
-			},
-		})
-		s.CPUTask(device.CPUTaskSpec{
-			Name: "consume_dependent", Threads: 1,
-			Func: func(c *device.CPUThread) {
-				var acc float32
-				for i := 0; i < n; i += 32 { // one dependent load per line
-					acc += device.LdDep(c, buf, i)
-					c.FLOP(1)
-				}
-				_ = acc
-			},
-		})
-		s.EndROI()
-		rep := s.Report("pc-micro", "ablation")
-		label := "on"
-		if off {
-			label = "off"
-		}
-		rows = append(rows, AblationRow{
-			Knob: "coherence", Value: label, ROIms: rep.ROI.Millis(),
-			Extra: fmt.Sprintf("CPU active %.3f ms, c2c transfers %d",
-				rep.CPUActive.Millis(), s.Ctr.Get("het-switch.c2c_transfers")),
-		})
-	}
-	return rows
+// ablations are the design-knob sweeps in output order: each knob's
+// heading and the column its rows add. Every column is read from the
+// run's report, so a run served from the store renders like a simulated
+// one.
+var ablations = []struct {
+	knob, title string
+	extra       func(*core.Report) string
+}{
+	{"coherence", "1. CPU-GPU cache coherence (producer-consumer microbenchmark):", func(r *core.Report) string {
+		return fmt.Sprintf("CPU active %.3f ms, c2c transfers %d", r.CPUActive.Millis(), counter(r, "het-switch.c2c_transfers"))
+	}},
+	{"fault-us", "2. GPU page-fault handler cost (srad limited-copy):", func(r *core.Report) string {
+		return fmt.Sprintf("faults %d", counter(r, "vm.gpu_faults_to_cpu"))
+	}},
+	{"gpu-l2-kb", "3. GPU L2 capacity (spmv limited-copy):", func(r *core.Report) string {
+		return fmt.Sprintf("R-R contention %.1f%%", 100*r.ClassFraction(core.ClassRRContention))
+	}},
+	{"pcie-GB/s", "4. PCIe bandwidth (kmeans copy):", func(r *core.Report) string {
+		return fmt.Sprintf("copy active %.3f ms", r.CopyActive.Millis())
+	}},
 }
 
-// AblateFaultCost sweeps the CPU page-fault handler occupancy for srad, the
-// paper's worst fault victim, showing how its heterogeneous-processor
-// slowdown scales with handler cost.
-func AblateFaultCost(size bench.Size) []AblationRow {
+// AblationCases is the -exp ablation table, in output order:
+//   - coherence on and off for a GPU-producer, CPU-consumer hand-off;
+//   - the CPU page-fault handler's occupancy for srad, the paper's worst
+//     fault victim (0 lets the GPU take its own faults);
+//   - the shared GPU L2 capacity for spmv, the Section V-C argument that
+//     R-R contention is a capacity problem;
+//   - the discrete system's PCIe bandwidth for kmeans, the knob behind
+//     the Section II bandwidth-asymmetry argument.
+//
+// Each knob has one point at its stock value (coherence on, 2.0 µs,
+// 1024 kB, 8 GB/s), whose run is the stock run of its benchmark and mode.
+// A case whose benchmark is not registered is left out.
+func AblationCases() []AblationCase {
 	srad, _ := bench.Get("rodinia/srad")
-	var rows []AblationRow
-	for _, us := range []float64{0, 0.5, 1, 2, 4} {
-		cfg := config.HeteroProcessor()
-		cfg.VM.CPUFaultServUs = us
-		if us == 0 {
-			cfg.VM.GPUFaultToCPU = false
-			cfg.VM.GPUFaultServNs = 0
-		}
-		s := device.NewSystem(cfg)
-		rep := bench.ExecuteOnSystem(srad, s, bench.ModeLimitedCopy, size)
-		rows = append(rows, AblationRow{
-			Knob: "fault-us", Value: fmt.Sprintf("%.1f", us), ROIms: rep.ROI.Millis(),
-			Extra: fmt.Sprintf("faults %d", s.Ctr.Get("vm.gpu_faults_to_cpu")),
-		})
-	}
-	return rows
-}
-
-// AblateGPUL2 sweeps the shared L2 capacity and reports the R-R contention
-// share of spmv — the paper's Section V-C argument that contention is a
-// capacity problem.
-func AblateGPUL2(size bench.Size) []AblationRow {
 	spmv, _ := bench.Get("parboil/spmv")
-	var rows []AblationRow
-	for _, kb := range []int{256, 512, 1024, 4096} {
-		cfg := config.HeteroProcessor()
-		cfg.GPU.L2Bytes = kb * 1024
-		s := device.NewSystem(cfg)
-		rep := bench.ExecuteOnSystem(spmv, s, bench.ModeLimitedCopy, size)
-		rows = append(rows, AblationRow{
-			Knob: "gpu-l2-kb", Value: fmt.Sprintf("%d", kb), ROIms: rep.ROI.Millis(),
-			Extra: fmt.Sprintf("R-R contention %.1f%%", 100*rep.ClassFraction(core.ClassRRContention)),
-		})
-	}
-	return rows
-}
-
-// AblatePCIe sweeps the link bandwidth of the discrete system for kmeans —
-// the knob behind the paper's bandwidth-asymmetry argument in Section II.
-func AblatePCIe(size bench.Size) []AblationRow {
 	km, _ := bench.Get("rodinia/kmeans")
-	var rows []AblationRow
-	for _, gbs := range []float64{4, 8, 16, 32} {
-		cfg := config.DiscreteGPU()
-		cfg.PCIe.BytesPerSec = gbs * 1e9
-		s := device.NewSystem(cfg)
-		rep := bench.ExecuteOnSystem(km, s, bench.ModeCopy, size)
-		rows = append(rows, AblationRow{
-			Knob: "pcie-GB/s", Value: fmt.Sprintf("%.0f", gbs), ROIms: rep.ROI.Millis(),
-			Extra: fmt.Sprintf("copy active %.3f ms", rep.CopyActive.Millis()),
-		})
+	cases := []AblationCase{
+		{"coherence", "on", pcMicro{}, bench.ModeLimitedCopy, func(*config.System) {}},
+		{"coherence", "off", pcMicro{}, bench.ModeLimitedCopy, func(c *config.System) { c.NoCoherence = true }},
 	}
-	return rows
+	for _, us := range []float64{0, 0.5, 1, 2, 4} {
+		cases = append(cases, AblationCase{"fault-us", fmt.Sprintf("%.1f", us), srad, bench.ModeLimitedCopy, func(c *config.System) {
+			c.VM.CPUFaultServUs = us
+			if us == 0 {
+				c.VM.GPUFaultToCPU = false
+				c.VM.GPUFaultServNs = 0
+			}
+		}})
+	}
+	for _, kb := range []int{256, 512, 1024, 4096} {
+		cases = append(cases, AblationCase{"gpu-l2-kb", fmt.Sprint(kb), spmv, bench.ModeLimitedCopy, func(c *config.System) {
+			c.GPU.L2Bytes = kb * 1024
+		}})
+	}
+	for _, gbs := range []float64{4, 8, 16, 32} {
+		cases = append(cases, AblationCase{"pcie-GB/s", fmt.Sprintf("%.0f", gbs), km, bench.ModeCopy, func(c *config.System) {
+			c.PCIe.BytesPerSec = gbs * 1e9
+		}})
+	}
+	return slices.DeleteFunc(cases, func(c AblationCase) bool { return c.Bench == nil })
 }
 
-// AblationText renders every ablation sweep.
-func AblationText(size bench.Size) string {
+// AblationSweep runs every ablation case through RunSpecs with opts, as a
+// sweep's runs are: each case's machine is its mode's, with opts.Fault
+// injected and the case's knob moved. The outcomes come back in
+// AblationCases order; nil is a run an interrupt kept from starting. The
+// cases fix each run's benchmark, so opts.Only, PerRun and Trace do not
+// apply.
+func AblationSweep(size bench.Size, opts SweepOpts) []*harness.Outcome {
+	tmpl := specTemplate(size, opts)
+	var specs []harness.Spec
+	for _, c := range AblationCases() {
+		spec := tmpl
+		spec.Bench, spec.Mode, spec.Machine = c.Bench, c.Mode, withFaults(c.Mode, opts.Fault)
+		c.Tweak(spec.Machine)
+		specs = append(specs, spec)
+	}
+	return RunSpecs(specs, opts.runner())
+}
+
+// AblationText renders the ablation sweeps from AblationSweep's outcomes.
+func AblationText(outs []*harness.Outcome) string {
+	cases := AblationCases()
 	var b strings.Builder
 	fmt.Fprintf(&b, "ABLATIONS (design-choice sensitivity)\n")
-	render := func(title string, rows []AblationRow) {
-		fmt.Fprintf(&b, "%s\n", title)
-		for _, r := range rows {
-			fmt.Fprintf(&b, "  %-12s %-6s  ROI %9.3f ms   %s\n", r.Knob, r.Value, r.ROIms, r.Extra)
+	for _, a := range ablations {
+		fmt.Fprintf(&b, "%s\n", a.title)
+		for i, out := range outs {
+			if cases[i].Knob != a.knob {
+				continue
+			}
+			fmt.Fprintf(&b, "  %-12s %-6s  ROI %9s", cases[i].Knob, cases[i].Value, roiCell(out))
+			if rep := report(out); rep != nil {
+				fmt.Fprintf(&b, " ms   %s", a.extra(rep))
+			}
+			b.WriteString("\n")
+			writeFailure(&b, out)
 		}
 	}
-	render("1. CPU-GPU cache coherence (producer-consumer microbenchmark):", AblateCoherence(size))
-	render("2. GPU page-fault handler cost (srad limited-copy):", AblateFaultCost(size))
-	render("3. GPU L2 capacity (spmv limited-copy):", AblateGPUL2(size))
-	render("4. PCIe bandwidth (kmeans copy):", AblatePCIe(size))
 	return b.String()
+}
+
+// counter is a hardware counter's total over a run: the sum of its
+// per-phase deltas, which the report keeps.
+func counter(r *core.Report, name string) uint64 {
+	var n uint64
+	for _, p := range r.Phases {
+		n += p.Deltas[name]
+	}
+	return n
+}
+
+// pcMicro is the coherence ablation's producer-consumer microbenchmark:
+// the GPU produces a buffer that fits in its L2 and the CPU immediately
+// walks it with dependent loads. With coherence the reads are
+// cache-to-cache transfers; without it every one goes to DRAM. It is not
+// registered, so the census and the figures never see it.
+type pcMicro struct{}
+
+func (pcMicro) Info() bench.Info {
+	return bench.Info{Suite: "ablation", Name: "pc-micro"}
+}
+
+func (pcMicro) Run(s *device.System, _ bench.Mode, size bench.Size) {
+	n := bench.ScaleN(64*1024, size) // 256kB-1MB of float32
+	buf := device.AllocBuf[float32](s, n, "pc_buffer", device.Host)
+	s.BeginROI()
+	s.Launch(device.KernelSpec{
+		Name: "produce", Grid: n / 256, Block: 256,
+		Func: func(t *device.Thread) {
+			i := t.Global()
+			t.FLOP(2)
+			device.St(t, buf, i, float32(i%7))
+		},
+	})
+	s.CPUTask(device.CPUTaskSpec{
+		Name: "consume_dependent", Threads: 1,
+		Func: func(c *device.CPUThread) {
+			var acc float32
+			for i := 0; i < n; i += 32 { // one dependent load per line
+				acc += device.LdDep(c, buf, i)
+				c.FLOP(1)
+			}
+			_ = acc
+		},
+	})
+	s.EndROI()
 }

@@ -8,7 +8,7 @@
 // The pipeline has three stages. RunSweep executes every (benchmark, mode)
 // run — each an isolated simulation — through RunSpecs, the slot runner
 // (run-store lookup, bounded worker pool, progress, Put) that FaultSweep,
-// cmd/hetsim and hetsimd's /v1/run call too, and assembles the outcomes
+// AblationSweep, cmd/hetsim and hetsimd's /v1/run call too, and assembles the outcomes
 // deterministically, so the Results are byte-for-byte identical for every
 // worker count. The FigNRows functions (rows.go) reduce a sweep to typed
 // rows plus summaries. The renderers (render.go, csv.go, json.go) format
@@ -92,8 +92,9 @@ type SweepOpts struct {
 	// budget is deterministic, while a wall-clock Timeout burns faster
 	// when runs share the machine with other workers.
 	Budget harness.Budget
-	// Fault injects hardware degradations into every run.
-	Fault *harness.FaultPlan
+	// Fault injects hardware degradations into every run (the zero value
+	// injects nothing).
+	Fault config.FaultConfig
 	// Only restricts the sweep to these full benchmark names (nil: all).
 	Only []string
 	// Jobs is the worker-pool size runs dispatch to: 0 means GOMAXPROCS,

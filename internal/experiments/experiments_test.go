@@ -281,37 +281,96 @@ func TestFig10BoundHolds(t *testing.T) {
 	}
 }
 
-// TestAblationsRespond pins the qualitative direction of each ablation.
+// TestAblationsRespond runs the ablations on the shared run path, over a
+// run store on two workers. It pins the direction of each knob; that
+// every run has its own progress name; that a rerun over the same store
+// simulates nothing and renders the same table; and that a sweep
+// canceled before dispatch renders every row as skipped.
 func TestAblationsRespond(t *testing.T) {
+	dir := t.TempDir()
+	starts := map[string]int{}
+	opts := SweepOpts{Jobs: 2, Store: openRecords(t, dir), Progress: sweep.NewEventTracker(func(ev sweep.Event) {
+		if ev.Kind == "start" {
+			starts[ev.Name]++
+		}
+	})}
+	outs := AblationSweep(bench.SizeSmall, opts)
+	cases := AblationCases()
+	if len(outs) != 15 || len(cases) != 15 {
+		t.Fatalf("outcomes = %d, cases = %d; want 15", len(outs), len(cases))
+	}
+	if len(starts) != len(outs) {
+		t.Fatalf("ablations started %d distinct run names, want %d: %v", len(starts), len(outs), starts)
+	}
+	roi := func(t *testing.T, knob string) []float64 {
+		var ms []float64
+		for i, out := range outs {
+			if cases[i].Knob != knob {
+				continue
+			}
+			if report(out) == nil {
+				t.Fatalf("%s %s: run missing or failed: %+v", knob, cases[i].Value, out)
+			}
+			ms = append(ms, out.Report.ROI.Millis())
+		}
+		return ms
+	}
 	t.Run("coherence", func(t *testing.T) {
-		rows := AblateCoherence(bench.SizeSmall)
-		if len(rows) != 2 || rows[0].ROIms >= rows[1].ROIms {
-			t.Fatalf("coherence must help the consumer: %+v", rows)
+		ms := roi(t, "coherence")
+		if len(ms) != 2 || ms[0] >= ms[1] {
+			t.Fatalf("coherence must help the consumer: %v", ms)
 		}
 	})
 	t.Run("faults", func(t *testing.T) {
-		rows := AblateFaultCost(bench.SizeSmall)
-		for i := 1; i < len(rows); i++ {
-			if rows[i].ROIms < rows[i-1].ROIms {
-				t.Fatalf("fault cost must monotonically hurt srad: %+v", rows)
+		ms := roi(t, "fault-us")
+		for i := 1; i < len(ms); i++ {
+			if ms[i] < ms[i-1] {
+				t.Fatalf("fault cost must monotonically hurt srad: %v", ms)
 			}
 		}
 	})
 	t.Run("pcie", func(t *testing.T) {
-		rows := AblatePCIe(bench.SizeSmall)
-		for i := 1; i < len(rows); i++ {
-			if rows[i].ROIms > rows[i-1].ROIms {
-				t.Fatalf("more PCIe bandwidth must help kmeans: %+v", rows)
+		ms := roi(t, "pcie-GB/s")
+		for i := 1; i < len(ms); i++ {
+			if ms[i] > ms[i-1] {
+				t.Fatalf("more PCIe bandwidth must help kmeans: %v", ms)
 			}
 		}
 	})
 	t.Run("l2", func(t *testing.T) {
-		rows := AblateGPUL2(bench.SizeSmall)
-		first, last := rows[0], rows[len(rows)-1]
-		if last.ROIms > first.ROIms {
-			t.Fatalf("bigger L2 must not hurt spmv: %+v", rows)
+		ms := roi(t, "gpu-l2-kb")
+		if ms[len(ms)-1] > ms[0] {
+			t.Fatalf("bigger L2 must not hurt spmv: %v", ms)
 		}
 	})
+	txt := AblationText(outs)
+	if strings.Contains(txt, "NaN") || strings.Contains(txt, "%!") || strings.Contains(txt, "failed") {
+		t.Fatalf("ablation text malformed:\n%s", txt)
+	}
+
+	// Rerun over the same store: every run is served from its record,
+	// and the columns read from stored reports render the same bytes.
+	var sims atomic.Int32
+	opts.Store = openRecords(t, dir)
+	opts.Progress = sweep.NewEventTracker(func(ev sweep.Event) {
+		if ev.Kind == "start" {
+			sims.Add(1)
+		}
+	})
+	if again := AblationText(AblationSweep(bench.SizeSmall, opts)); again != txt {
+		t.Fatalf("ablations from the store differ:\n--- simulated\n%s\n--- stored\n%s", txt, again)
+	}
+	if n := sims.Load(); n != 0 {
+		t.Fatalf("ablations over a full store simulated %d runs, want 0", n)
+	}
+
+	// Canceled before dispatch: every row is skipped.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	skipped := AblationText(AblationSweep(bench.SizeSmall, SweepOpts{Jobs: 2, Ctx: ctx}))
+	if n := strings.Count(skipped, "ROI   skipped\n"); n != len(cases) || strings.Contains(skipped, " ms") {
+		t.Fatalf("canceled ablations render %d skipped rows, want %d:\n%s", n, len(cases), skipped)
+	}
 }
 
 // TestSweepSurvivesForcedFailure is the fault-tolerance acceptance test:

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/harness"
 )
@@ -19,24 +20,16 @@ type FaultCase struct {
 	Label string
 	Bench string
 	Mode  bench.Mode
-	Plan  harness.FaultPlan
+	Plan  config.FaultConfig
 }
 
 // FaultCases is the -exp faults degradation matrix.
 func FaultCases() []FaultCase {
 	return []FaultCase{
-		{
-			Label: "pcie-throttle", Bench: "rodinia/kmeans", Mode: bench.ModeCopy,
-			Plan: harness.FaultPlan{PCIeBWFrac: 0.25},
-		},
-		{
-			Label: "slow-fault-handler", Bench: "rodinia/srad", Mode: bench.ModeLimitedCopy,
-			Plan: harness.FaultPlan{FaultLatMult: 8},
-		},
-		{
-			Label: "dram-channel-stall", Bench: "parboil/spmv", Mode: bench.ModeLimitedCopy,
-			Plan: harness.FaultPlan{DRAMStallChannel: 0, DRAMStallStartUs: 0, DRAMStallEndUs: 400},
-		},
+		{"pcie-throttle", "rodinia/kmeans", bench.ModeCopy, config.FaultConfig{PCIeBWFrac: 0.25}},
+		{"slow-fault-handler", "rodinia/srad", bench.ModeLimitedCopy, config.FaultConfig{FaultLatMult: 8}},
+		{"dram-channel-stall", "parboil/spmv", bench.ModeLimitedCopy,
+			config.FaultConfig{DRAMStallChannel: 0, DRAMStallStartUs: 0, DRAMStallEndUs: 400}},
 	}
 }
 
@@ -88,8 +81,8 @@ func (fr *FaultRow) ModelsFinite() bool {
 // FaultSweep runs every fault case twice — nominal hardware and injected
 // fault — through RunSpecs with opts, as a sweep's runs are, so a nominal
 // run is the sweep slot of its benchmark and mode. The matrix fixes each
-// run's benchmark and fault plan, so opts.Only, Fault, PerRun and Trace
-// do not apply.
+// run's benchmark and faults, so opts.Only, Fault, PerRun and Trace do
+// not apply.
 func FaultSweep(size bench.Size, opts SweepOpts) []FaultRow {
 	tmpl := specTemplate(size, opts)
 	var rows []FaultRow
@@ -99,10 +92,9 @@ func FaultSweep(size bench.Size, opts SweepOpts) []FaultRow {
 		if !ok {
 			continue
 		}
-		plan := fc.Plan
-		for _, fault := range []*harness.FaultPlan{nil, &plan} {
+		for _, faults := range []config.FaultConfig{{}, fc.Plan} {
 			spec := tmpl
-			spec.Bench, spec.Mode, spec.Fault = b, fc.Mode, fault
+			spec.Bench, spec.Mode, spec.Machine = b, fc.Mode, withFaults(fc.Mode, faults)
 			specs = append(specs, spec)
 		}
 		rows = append(rows, FaultRow{Case: fc})
@@ -129,21 +121,26 @@ func FaultSweepText(rows []FaultRow) string {
 		case !fr.ModelsFinite():
 			models = "BROKEN"
 		}
-		plan := fr.Case.Plan
 		fmt.Fprintf(&b, "%-20s %-24s %-14s %-22s %9s %9s %8.2fx  %s\n",
-			fr.Case.Label, fr.Case.Bench, fr.Case.Mode, plan.String(),
+			fr.Case.Label, fr.Case.Bench, fr.Case.Mode, fr.Case.Plan,
 			roiCell(fr.Baseline), roiCell(fr.Injected), fr.Slowdown(), models)
-		for _, out := range []*harness.Outcome{fr.Baseline, fr.Injected} {
-			if out != nil && out.Err != nil {
-				e := out.Err
-				fmt.Fprintf(&b, "† %s (%s) failed [%s]: %s\n", e.Benchmark, e.Mode, e.Kind, e.Msg)
-			}
-		}
+		writeFailure(&b, fr.Baseline)
+		writeFailure(&b, fr.Injected)
 	}
 	return b.String()
 }
 
-// roiCell is one run's ROI in the fault table, or why there is none.
+// writeFailure writes a failed run's † footnote line; it writes nothing
+// for a skipped or completed run.
+func writeFailure(b *strings.Builder, out *harness.Outcome) {
+	if out != nil && out.Err != nil {
+		e := out.Err
+		fmt.Fprintf(b, "† %s (%s) failed [%s]: %s\n", e.Benchmark, e.Mode, e.Kind, e.Msg)
+	}
+}
+
+// roiCell is one run's ROI in the fault and ablation tables, or why there
+// is none.
 func roiCell(out *harness.Outcome) string {
 	switch {
 	case out == nil:

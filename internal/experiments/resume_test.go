@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/device"
 	"repro/internal/harness"
 	"repro/internal/store"
@@ -293,7 +294,7 @@ func TestFingerprintCoversModeSet(t *testing.T) {
 		t.Fatal("restoring the mode set must restore the fingerprint")
 	}
 
-	fault, err := harness.ParseFaultPlan("pcie=0.5")
+	fault, err := config.ParseFaults("pcie=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestFingerprintCoversModeSet(t *testing.T) {
 		{"mode", func(s *harness.Spec) { s.Mode = bench.ModeLimitedCopy }, nil},
 		{"size", func(s *harness.Spec) { s.Size = bench.SizeMedium },
 			func(size *bench.Size, _ *SweepOpts) { *size = bench.SizeMedium }},
-		{"fault", func(s *harness.Spec) { s.Fault = fault },
+		{"fault", func(s *harness.Spec) { s.Machine = withFaults(s.Mode, fault) },
 			func(_ *bench.Size, o *SweepOpts) { o.Fault = fault }},
 		{"max_events", func(s *harness.Spec) { s.Budget.MaxEvents = 1000 },
 			func(_ *bench.Size, o *SweepOpts) { o.Budget.MaxEvents = 1000 }},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 
 	"repro/internal/bench"
 	"repro/internal/fsx"
@@ -57,11 +58,10 @@ func RunSpecs(specs []harness.Spec, o Runner) []*harness.Outcome {
 		o.OnStored(stored)
 	}
 	name := func(spec harness.Spec) string {
-		n := spec.Bench.Info().FullName() + " " + spec.Mode.String()
-		if spec.Fault.Active() {
-			n += " " + spec.Fault.String()
+		if o.Progress == nil {
+			return ""
 		}
-		return n
+		return runName(spec)
 	}
 	o.Progress.SetTotal(len(specs))
 	for i, out := range outs {
@@ -92,6 +92,26 @@ func RunSpecs(specs []harness.Spec, o Runner) []*harness.Outcome {
 	})
 	o.Progress.Summary()
 	return outs
+}
+
+// runName names a run for progress lines and events: its benchmark and
+// mode, then every machine field that differs from the mode's stock
+// machine (an ablation's knob, an injected fault), so runs that simulate
+// different machines read differently.
+func runName(spec harness.Spec) string {
+	n := spec.Bench.Info().FullName() + " " + spec.Mode.String()
+	var diff func(path string, stock, got reflect.Value)
+	diff = func(path string, stock, got reflect.Value) {
+		if stock.Kind() == reflect.Struct {
+			for i := 0; i < stock.NumField(); i++ {
+				diff(path+stock.Type().Field(i).Name+".", stock.Field(i), got.Field(i))
+			}
+		} else if !stock.Equal(got) {
+			n += fmt.Sprintf(" %s=%v", path[:len(path)-1], got)
+		}
+	}
+	diff("", reflect.ValueOf(bench.ConfigFor(spec.Mode)), reflect.ValueOf(spec.Config()))
+	return n
 }
 
 // StateRunner is the Runner a command's -state DIR sets up: Store is the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -10,7 +11,7 @@ import (
 // sweepSpecs builds the runs a sweep of (size, opts) executes: one spec
 // per (benchmark, mode) slot — every selected benchmark in each of its
 // modes, in the registry's stable order — carrying the sweep's budgets,
-// fault plan, stall window, tracing and PerRun adjustment. RunSweep runs
+// injected faults, stall window, tracing and PerRun adjustment. RunSweep runs
 // exactly these specs and SweepFingerprint hashes exactly their run keys.
 func sweepSpecs(size bench.Size, opts SweepOpts) []harness.Spec {
 	var only map[string]bool
@@ -28,7 +29,7 @@ func sweepSpecs(size bench.Size, opts SweepOpts) []harness.Spec {
 		}
 		for _, m := range b.Info().Modes() {
 			spec := tmpl
-			spec.Bench, spec.Mode = b, m
+			spec.Bench, spec.Mode, spec.Machine = b, m, withFaults(m, opts.Fault)
 			if opts.Trace {
 				spec.Trace = trace.New()
 			}
@@ -42,13 +43,21 @@ func sweepSpecs(size bench.Size, opts SweepOpts) []harness.Spec {
 }
 
 // specTemplate is the spec every run of (size, opts) starts from, before
-// sweepSpecs or FaultSweep sets its benchmark and mode.
+// sweepSpecs, FaultSweep or AblationSweep sets its benchmark, mode and
+// machine.
 func specTemplate(size bench.Size, opts SweepOpts) harness.Spec {
 	return harness.Spec{
-		Size: size, Budget: opts.Budget, Fault: opts.Fault,
+		Size: size, Budget: opts.Budget,
 		Ctx: opts.RunCtx, Stall: opts.Stall, RequestID: opts.RequestID,
 		Parallel: opts.Parallel,
 	}
+}
+
+// withFaults is mode's stock machine with faults f injected.
+func withFaults(mode bench.Mode, f config.FaultConfig) *config.System {
+	m := bench.ConfigFor(mode)
+	m.Faults = f
+	return &m
 }
 
 // runner is the RunSpecs configuration opts carries.

@@ -5,9 +5,10 @@
 // the whole sweep and discard every completed result. harness.Run executes
 // one benchmark run in isolation: it recovers aborts into a structured
 // *RunError, enforces event and wall-clock budgets through the simulation
-// engine, retries budget-exceeded runs at the next-smaller input size, and
-// applies injected hardware faults (FaultPlan) for degradation
-// experiments.
+// engine, and retries budget-exceeded runs at the next-smaller input size.
+// A Spec names the machine its run simulates: the mode's stock machine,
+// or one with a design knob moved or a hardware fault injected, which is
+// how the ablations and the fault-injection experiments vary it.
 //
 // Run is safe for concurrent use: every run builds its own isolated
 // device.System, so sweeps dispatch independent runs onto a worker pool
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/sim"
@@ -140,9 +142,10 @@ type Spec struct {
 	// wall-clock budget, the watchdog cannot reach a run wedged in host
 	// code between engine events.
 	Stall time.Duration
-	// Fault, when non-nil, injects hardware degradations into the run's
-	// system configuration.
-	Fault *FaultPlan
+	// Machine, when non-nil, is the machine the run simulates; nil means
+	// the mode's stock machine, bench.ConfigFor(Mode). Ablations move a
+	// design knob on it, fault injection fills in its Faults.
+	Machine *config.System
 	// Trace, when non-nil, receives every trace event the run's hardware
 	// models emit (all attempts record into the same sink, separated by
 	// harness lifecycle instants). When nil, the harness still records a
@@ -166,6 +169,15 @@ type Spec struct {
 	// counters, traces, and run records are byte-identical for
 	// every value.
 	Parallel int
+}
+
+// Config is the machine the run simulates: *Machine, or the mode's
+// stock machine when Machine is nil.
+func (s *Spec) Config() config.System {
+	if s.Machine != nil {
+		return *s.Machine
+	}
+	return bench.ConfigFor(s.Mode)
 }
 
 // lifecycleArgs builds the trace args for a harness lifecycle instant:
@@ -350,11 +362,7 @@ func runOnce(spec Spec, size bench.Size, attempt int) (out *Outcome) {
 		fail(KindUsage, fmt.Sprintf("benchmark does not support mode %s", spec.Mode), nil)
 		return out
 	}
-	cfg := bench.ConfigFor(spec.Mode)
-	if spec.Fault != nil {
-		spec.Fault.Apply(&cfg)
-	}
-	s, err := device.NewSystemErr(cfg, device.WithTrace(rec), device.WithParallel(spec.Parallel))
+	s, err := device.NewSystemErr(spec.Config(), device.WithTrace(rec), device.WithParallel(spec.Parallel))
 	if err != nil {
 		fail(KindUsage, err.Error(), nil)
 		return out

@@ -374,58 +374,6 @@ func TestRunRejectsUnsupportedMode(t *testing.T) {
 	}
 }
 
-func TestFaultPlanParse(t *testing.T) {
-	p, err := ParseFaultPlan("pcie=0.25,fault=8,dram=1:100:600")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.PCIeBWFrac != 0.25 || p.FaultLatMult != 8 ||
-		p.DRAMStallChannel != 1 || p.DRAMStallStartUs != 100 || p.DRAMStallEndUs != 600 {
-		t.Fatalf("parsed = %+v", p)
-	}
-	if !p.Active() {
-		t.Fatal("plan should be active")
-	}
-	// Round-trip through String.
-	rt, err := ParseFaultPlan(p.String())
-	if err != nil || *rt != *p {
-		t.Fatalf("round trip: %+v vs %+v (%v)", rt, p, err)
-	}
-	// Empty and none parse to nil.
-	for _, s := range []string{"", "none", "  "} {
-		if p, err := ParseFaultPlan(s); p != nil || err != nil {
-			t.Fatalf("ParseFaultPlan(%q) = %v, %v", s, p, err)
-		}
-	}
-	// Rejections.
-	for _, s := range []string{
-		"pcie=2", "pcie=0", "pcie=x", "fault=0.5", "dram=0:600:100",
-		"dram=0:100", "bogus=1", "pcie", "dram=-1:0:100",
-	} {
-		if _, err := ParseFaultPlan(s); err == nil {
-			t.Fatalf("ParseFaultPlan(%q) should fail", s)
-		}
-	}
-}
-
-func TestFaultPlanApply(t *testing.T) {
-	p := &FaultPlan{PCIeBWFrac: 0.5, FaultLatMult: 4, DRAMStallChannel: 2, DRAMStallStartUs: 10, DRAMStallEndUs: 20}
-	cfg := bench.ConfigFor(bench.ModeCopy)
-	p.Apply(&cfg)
-	if !cfg.Faults.Active() || cfg.Faults.PCIeBWFrac != 0.5 || cfg.Faults.FaultLatMult != 4 {
-		t.Fatalf("faults = %+v", cfg.Faults)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("fault-injected config invalid: %v", err)
-	}
-	// A nil plan is a no-op.
-	cfg2 := bench.ConfigFor(bench.ModeCopy)
-	(*FaultPlan)(nil).Apply(&cfg2)
-	if cfg2.Faults.Active() {
-		t.Fatal("nil plan injected faults")
-	}
-}
-
 // TestEngineBudgetArmedPerAttempt guards a subtle bug: the budget must be
 // re-armed per attempt so a retry gets the full allowance, not the
 // leftovers of the failed attempt.

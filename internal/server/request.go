@@ -17,15 +17,35 @@ import (
 // SweepRequest is the JSON body of POST /v1/sweep: which benchmarks to
 // sweep and under what budgets. Everything is optional; the zero request
 // sweeps every registered benchmark at the small size with no budgets.
-// Fields that change simulation results (benchmarks, size, budgets, fault
-// plan, stall) are part of every run's key and so of the document key;
-// fields that only change scheduling (jobs, parallel) or request lifetime
-// (deadline) are not, so the same experiment always maps to the same
-// stored document and runs.
 type SweepRequest struct {
 	// Benchmarks restricts the sweep to these full names ("suite/name");
 	// empty sweeps every registered benchmark.
 	Benchmarks []string `json:"benchmarks,omitempty"`
+	RunKnobs
+	// Jobs is how many simulations of this request may run concurrently
+	// (its admission weight). 0 and 1 mean serial; values above the
+	// server's pool size are clamped to it. Like parallel it is excluded
+	// from every key.
+	Jobs int `json:"jobs,omitempty"`
+}
+
+// RunRequest is the JSON body of POST /v1/run: one benchmark, one mode.
+type RunRequest struct {
+	// Benchmark is the full "suite/name" to run. Required.
+	Benchmark string `json:"benchmark"`
+	// Mode is "copy" (default), "limited-copy", "async-streams", or
+	// "parallel-chunked".
+	Mode string `json:"mode,omitempty"`
+	RunKnobs
+}
+
+// RunKnobs are the per-run fields both request bodies carry, at the top
+// level of their JSON. Fields that change simulation results (size,
+// budgets, fault plan, stall) are part of every run's key and so of the
+// document key; fields that only change scheduling (parallel) or request
+// lifetime (deadline) are not, so the same experiment always maps to the
+// same stored document and runs.
+type RunKnobs struct {
 	// Size is "small" (default) or "medium".
 	Size string `json:"size,omitempty"`
 	// MaxEvents is the per-run simulation event budget (0 = unlimited).
@@ -42,33 +62,10 @@ type SweepRequest struct {
 	// in-flight runs are canceled and the request fails with a deadline
 	// error (0 = no deadline beyond the client's own patience).
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// Jobs is how many simulations of this request may run concurrently
-	// (its admission weight). 0 and 1 mean serial; values above the
-	// server's pool size are clamped to it.
-	Jobs int `json:"jobs,omitempty"`
 	// Parallel is each run's intra-run parallelism (harness.Spec.Parallel).
 	// 0 and 1 simulate serially; 2 and up pipeline trace generation on one
-	// worker inside every run. Results are
-	// byte-identical for every value, so — like jobs — it is excluded
-	// from every key.
+	// worker inside every run. Results are byte-identical for every value.
 	Parallel int `json:"parallel,omitempty"`
-}
-
-// RunRequest is the JSON body of POST /v1/run: one benchmark, one mode.
-type RunRequest struct {
-	// Benchmark is the full "suite/name" to run. Required.
-	Benchmark string `json:"benchmark"`
-	// Mode is "copy" (default), "limited-copy", "async-streams", or
-	// "parallel-chunked".
-	Mode string `json:"mode,omitempty"`
-	// The remaining knobs mirror SweepRequest.
-	Size       string `json:"size,omitempty"`
-	MaxEvents  uint64 `json:"max_events,omitempty"`
-	TimeoutMs  int64  `json:"timeout_ms,omitempty"`
-	StallMs    int64  `json:"stall_ms,omitempty"`
-	Fault      string `json:"fault,omitempty"`
-	DeadlineMs int64  `json:"deadline_ms,omitempty"`
-	Parallel   int    `json:"parallel,omitempty"`
 }
 
 // badRequestError is a request-validation failure: the client's fault,
@@ -129,15 +126,15 @@ func parseMode(s string) (bench.Mode, error) {
 // them through config.Validate — the request is rejected up front rather
 // than poisoning a simulation (or a cache entry) with NaN-flavored
 // hardware.
-func validateFault(plan string) (*harness.FaultPlan, error) {
-	fault, err := harness.ParseFaultPlan(plan)
+func validateFault(plan string) (config.FaultConfig, error) {
+	fault, err := config.ParseFaults(plan)
 	if err != nil {
-		return nil, badRequest("fault: %v", err)
+		return config.FaultConfig{}, badRequest("fault: %v", err)
 	}
 	for _, sys := range []config.System{config.DiscreteGPU(), config.HeteroProcessor()} {
-		fault.Apply(&sys)
+		sys.Faults = fault
 		if err := sys.Validate(); err != nil {
-			return nil, badRequest("fault plan %q yields an invalid %s system: %v", plan, sys.Kind, err)
+			return config.FaultConfig{}, badRequest("fault plan %q yields an invalid %s system: %v", plan, sys.Kind, err)
 		}
 	}
 	return fault, nil
@@ -158,6 +155,42 @@ func nonNegativeMs(name string, ms int64) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
+// knobs is a validated RunKnobs: the spec every run of the request
+// starts from (size, budgets, stall, parallel), its injected faults and
+// the request's deadline.
+type knobs struct {
+	spec     harness.Spec
+	faults   config.FaultConfig
+	deadline time.Duration
+}
+
+// resolveKnobs validates the per-run fields of a request.
+func resolveKnobs(k *RunKnobs) (*knobs, error) {
+	r := &knobs{}
+	var err error
+	if r.spec.Size, err = parseSize(k.Size); err != nil {
+		return nil, err
+	}
+	if r.faults, err = validateFault(k.Fault); err != nil {
+		return nil, err
+	}
+	r.spec.Budget.MaxEvents = k.MaxEvents
+	if r.spec.Budget.Timeout, err = nonNegativeMs("timeout_ms", k.TimeoutMs); err != nil {
+		return nil, err
+	}
+	if r.spec.Stall, err = nonNegativeMs("stall_ms", k.StallMs); err != nil {
+		return nil, err
+	}
+	if r.deadline, err = nonNegativeMs("deadline_ms", k.DeadlineMs); err != nil {
+		return nil, err
+	}
+	if k.Parallel < 0 {
+		return nil, badRequest("parallel must be >= 0, got %d", k.Parallel)
+	}
+	r.spec.Parallel = k.Parallel
+	return r, nil
+}
+
 // sweepParams is a validated SweepRequest, resolved to engine types.
 type sweepParams struct {
 	size        bench.Size
@@ -171,50 +204,25 @@ type sweepParams struct {
 // config layer and resolves it to sweep options plus its fingerprint.
 // maxJobs is the server's pool size (the clamp for jobs).
 func resolveSweep(req *SweepRequest, maxJobs int) (*sweepParams, error) {
-	p := &sweepParams{}
-	var err error
-	if p.size, err = parseSize(req.Size); err != nil {
-		return nil, err
-	}
 	for _, name := range req.Benchmarks {
 		if _, ok := bench.Get(name); !ok {
 			return nil, badRequest("unknown benchmark %q", name)
 		}
 	}
-	fault, err := validateFault(req.Fault)
+	k, err := resolveKnobs(&req.RunKnobs)
 	if err != nil {
-		return nil, err
-	}
-	timeout, err := nonNegativeMs("timeout_ms", req.TimeoutMs)
-	if err != nil {
-		return nil, err
-	}
-	stall, err := nonNegativeMs("stall_ms", req.StallMs)
-	if err != nil {
-		return nil, err
-	}
-	if p.deadline, err = nonNegativeMs("deadline_ms", req.DeadlineMs); err != nil {
 		return nil, err
 	}
 	if req.Jobs < 0 {
 		return nil, badRequest("jobs must be >= 0, got %d", req.Jobs)
 	}
-	if req.Parallel < 0 {
-		return nil, badRequest("parallel must be >= 0, got %d", req.Parallel)
-	}
-	p.jobs = req.Jobs
-	if p.jobs < 1 {
-		p.jobs = 1
-	}
-	if p.jobs > maxJobs {
-		p.jobs = maxJobs
-	}
+	p := &sweepParams{size: k.spec.Size, deadline: k.deadline, jobs: min(max(req.Jobs, 1), maxJobs)}
 	p.opts = experiments.SweepOpts{
-		Budget:   harness.Budget{MaxEvents: req.MaxEvents, Timeout: timeout},
-		Fault:    fault,
+		Budget:   k.spec.Budget,
+		Fault:    k.faults,
 		Jobs:     p.jobs,
-		Parallel: req.Parallel,
-		Stall:    stall,
+		Parallel: k.spec.Parallel,
+		Stall:    k.spec.Stall,
 	}
 	// An explicitly empty benchmark list means the same as an omitted
 	// one: sweep everything. (A non-nil empty Only would match nothing.)
@@ -252,39 +260,14 @@ func resolveRun(req *RunRequest) (*runParams, error) {
 	if !b.Info().Supports(mode) {
 		return nil, badRequest("benchmark %q does not support mode %s", req.Benchmark, mode)
 	}
-	size, err := parseSize(req.Size)
+	k, err := resolveKnobs(&req.RunKnobs)
 	if err != nil {
 		return nil, err
 	}
-	fault, err := validateFault(req.Fault)
-	if err != nil {
-		return nil, err
-	}
-	timeout, err := nonNegativeMs("timeout_ms", req.TimeoutMs)
-	if err != nil {
-		return nil, err
-	}
-	stall, err := nonNegativeMs("stall_ms", req.StallMs)
-	if err != nil {
-		return nil, err
-	}
-	deadline, err := nonNegativeMs("deadline_ms", req.DeadlineMs)
-	if err != nil {
-		return nil, err
-	}
-	if req.Parallel < 0 {
-		return nil, badRequest("parallel must be >= 0, got %d", req.Parallel)
-	}
-	p := &runParams{
-		spec: harness.Spec{
-			Bench: b, Mode: mode, Size: size,
-			Budget:   harness.Budget{MaxEvents: req.MaxEvents, Timeout: timeout},
-			Fault:    fault,
-			Stall:    stall,
-			Parallel: req.Parallel,
-		},
-		deadline: deadline,
-	}
+	machine := bench.ConfigFor(mode)
+	machine.Faults = k.faults
+	p := &runParams{spec: k.spec, deadline: k.deadline}
+	p.spec.Bench, p.spec.Mode, p.spec.Machine = b, mode, &machine
 	p.fingerprint = experiments.RunDocKey(p.spec)
 	return p, nil
 }

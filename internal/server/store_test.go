@@ -92,7 +92,7 @@ func TestRunsSharedAcrossRequests(t *testing.T) {
 // TestRunDocKeyDistinctFromRunKey: a /v1/run document and the run record
 // it is built from hash the same inputs, but under different keys.
 func TestRunDocKeyDistinctFromRunKey(t *testing.T) {
-	p, err := resolveRun(&RunRequest{Benchmark: "rodinia/backprop", MaxEvents: 100})
+	p, err := resolveRun(&RunRequest{Benchmark: "rodinia/backprop", RunKnobs: RunKnobs{MaxEvents: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}

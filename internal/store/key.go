@@ -5,9 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"sync"
 
-	"repro/internal/config"
 	"repro/internal/fsx"
 	"repro/internal/harness"
 )
@@ -15,7 +13,7 @@ import (
 // Version opens every key this repo hashes. Bumping it orphans every
 // stored entry (they stop matching and age out under the quota), which is
 // the safe failure mode for a change in what a key means.
-const Version = "1"
+const Version = "2"
 
 // RunKeyPrefix starts every run key. Document keys are bare sha256 hex,
 // so a run record and a response document can never share a key — not
@@ -47,20 +45,12 @@ func (fp *fingerprint) Sum() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// systems is a digest of the compiled-in simulated machines, computed
-// once per process: every run key hashes it, so a code change to either
-// machine stops old entries from matching.
-var systems = sync.OnceValue(func() string {
-	var fp fingerprint
-	fp.Add("discrete", fmt.Sprintf("%+v", config.DiscreteGPU()))
-	fp.Add("hetero", fmt.Sprintf("%+v", config.HeteroProcessor()))
-	return fp.Sum()
-})
-
 // RunKey is the key of one run's record, and the one list of what
-// determines a run's outcome: benchmark, mode, size, both simulated
-// machines, fault plan, event and wall-clock budgets, stall window, and
-// whether the run is traced. Scheduling inputs (intra-run workers, the
+// determines a run's outcome: benchmark, mode, size, the simulated
+// machine (every field, injected faults included), event and wall-clock
+// budgets, stall window, and whether the run is traced. A nil Machine
+// keys like its mode's stock machine named explicitly, and a code change
+// to a machine moves its keys. Scheduling inputs (intra-run workers, the
 // request ID, cancellation and progress hooks) are left out: results are
 // byte-identical for every value, so a run simulated for one request
 // serves any other. Document keys (DocKey) are built from run keys, so
@@ -69,11 +59,13 @@ func RunKey(spec harness.Spec) string {
 	var fp fingerprint
 	fp.Add("version", Version)
 	fp.Add("kind", "record")
-	fp.Add("systems", systems())
 	fp.Add("bench", spec.Bench.Info().FullName())
 	fp.Add("mode", spec.Mode.String())
 	fp.Add("size", spec.Size.String())
-	fp.Add("fault", spec.Fault.String())
+	// %#v prints every field as it is: %+v would render Faults through
+	// FaultConfig.String, which reads "none" for a latency multiplier
+	// below 1 that still scales the fault handler.
+	fp.Add("machine", fmt.Sprintf("%#v", spec.Config()))
 	fp.Add("max_events", strconv.FormatUint(spec.Budget.MaxEvents, 10))
 	fp.Add("timeout", spec.Budget.Timeout.String())
 	fp.Add("stall", spec.Stall.String())

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/fsx"
 	"repro/internal/harness"
 )
@@ -56,6 +58,53 @@ func TestFingerprintHelper(t *testing.T) {
 	d.Add("bench", "rodinia/bfs|copy")
 	if a.Sum() == d.Sum() {
 		t.Fatal("different values must hash differently")
+	}
+}
+
+// keyOnly is a benchmark that is only ever keyed, never run.
+type keyOnly struct{}
+
+func (keyOnly) Info() bench.Info                           { return bench.Info{Suite: "zz_test", Name: "key-only"} }
+func (keyOnly) Run(*device.System, bench.Mode, bench.Size) { panic("keyOnly must never run") }
+
+// TestRunKeyCoversMachine: the run key hashes the machine a run
+// simulates, so moving any one field of it — a design knob or an
+// injected fault — moves the key, while naming the mode's stock machine
+// explicitly keys like leaving Machine nil.
+func TestRunKeyCoversMachine(t *testing.T) {
+	spec := func(mode bench.Mode, tweak func(*config.System)) harness.Spec {
+		s := harness.Spec{Bench: keyOnly{}, Mode: mode, Size: bench.SizeSmall}
+		if tweak != nil {
+			m := bench.ConfigFor(mode)
+			tweak(&m)
+			s.Machine = &m
+		}
+		return s
+	}
+	for m := bench.Mode(0); m < bench.NumModes; m++ {
+		if RunKey(spec(m, nil)) != RunKey(spec(m, func(*config.System) {})) {
+			t.Errorf("%s: an explicit stock machine keys unlike a nil Machine", m)
+		}
+	}
+	keys := map[string]string{"stock": RunKey(spec(bench.ModeLimitedCopy, nil))}
+	for name, tweak := range map[string]func(*config.System){
+		"GPU.L2Bytes":             func(c *config.System) { c.GPU.L2Bytes = 512 * 1024 },
+		"NoCoherence":             func(c *config.System) { c.NoCoherence = true },
+		"VM.CPUFaultServUs":       func(c *config.System) { c.VM.CPUFaultServUs = 0.5 },
+		"PCIe.BytesPerSec":        func(c *config.System) { c.PCIe.BytesPerSec = 16e9 },
+		"Faults.PCIeBWFrac":       func(c *config.System) { c.Faults.PCIeBWFrac = 0.5 },
+		"Faults.FaultLatMult":     func(c *config.System) { c.Faults.FaultLatMult = 0.5 },
+		"Faults.DRAMStallChannel": func(c *config.System) { c.Faults.DRAMStallChannel = 1 },
+		"Faults.DRAMStallStartUs": func(c *config.System) { c.Faults.DRAMStallStartUs = 10 },
+		"Faults.DRAMStallEndUs":   func(c *config.System) { c.Faults.DRAMStallEndUs = 10 },
+	} {
+		k := RunKey(spec(bench.ModeLimitedCopy, tweak))
+		for other, ok := range keys {
+			if k == ok {
+				t.Errorf("moving %s keys like %s", name, other)
+			}
+		}
+		keys[name] = k
 	}
 }
 
